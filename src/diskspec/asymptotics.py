@@ -10,14 +10,14 @@ closed-form linear-segment integrals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, QuadratureError
-from .lattice import _smoothstep, count_lattice
-from .spectral import CountSample, disk_counts_many, weyl_two_term
+from .errors import DomainError, QuadratureError, check_integer
+from .lattice import _smoothstep
+from .spectral import CountSample, _sample, disk_counts_many
 from .zeros import MU_MAX
 
 __all__ = [
@@ -45,6 +45,8 @@ DEFAULT_TAUS = tuple(float(t) for t in np.logspace(2.0, 6.0, 17))
 _PHASE_GRID = 4097
 _PANEL_CHUNK = 200_000
 _PANEL_CAP = 5_000_000
+
+_SAMPLE_FIELDS = tuple(f.name for f in fields(CountSample))
 
 
 @dataclass(frozen=True)
@@ -94,22 +96,7 @@ def scan_remainder(
     n_pts = int(math.floor((mu_max - mu_min) / step + 1e-9)) + 1
     mus = [mu_min + i * step + offset for i in range(n_pts)]
     disk = disk_counts_many(mus, threads=threads)
-    samples = []
-    for mu, nd in zip(mus, disk):
-        n_disk = int(nd)
-        n_lat = count_lattice(mu)
-        weyl2 = weyl_two_term(mu)
-        samples.append(
-            CountSample(
-                mu=mu,
-                n_disk=n_disk,
-                n_lattice=n_lat,
-                weyl2=weyl2,
-                remainder=n_disk - weyl2,
-                diff=n_disk - n_lat,
-            )
-        )
-    return samples
+    return [_sample(mu, int(nd)) for mu, nd in zip(mus, disk)]
 
 
 def fit_envelope(
@@ -127,6 +114,8 @@ def fit_envelope(
         raise DomainError(f"block_size must be at least 2, got {block_size}")
     if not samples:
         raise DomainError("no samples to fit")
+    if field_name not in _SAMPLE_FIELDS:
+        raise DomainError(f"field_name must be one of {_SAMPLE_FIELDS}, got {field_name!r}")
     mus = np.array([s.mu for s in samples], dtype=float)
     vals = np.abs(np.array([float(getattr(s, field_name)) for s in samples]))
     order = np.argsort(mus)
@@ -165,9 +154,8 @@ def beta_series(beta: float, q_max: int, summation: str = "abel") -> float:
     """
     if not (0.0 < beta < 1.0):
         raise DomainError(f"beta must lie in (0, 1), got {beta}")
-    if not isinstance(q_max, (int, np.integer)) or isinstance(q_max, bool) or q_max < 10:
-        raise DomainError(f"q_max must be an integer >= 10, got {q_max!r}")
-    q = np.arange(1, int(q_max) + 1, dtype=float)
+    q_max = check_integer(q_max, "q_max", 10)
+    q = np.arange(1, q_max + 1, dtype=float)
     terms = np.sin(2.0 * math.pi * beta * q) / q
     if summation == "abel":
         r = 1.0 - 1.0 / float(q_max)

@@ -20,7 +20,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .asymptotics import fit_envelope, scan_remainder
-from .errors import DomainError, QuadratureError, RefinementError
+from .errors import DomainError, QuadratureError, RefinementError, check_threads
 from .lattice import MollifyConfig, sandwich_check
 from .spectral import CountSample, count_sample
 from .verify import run_suite
@@ -41,8 +41,7 @@ class RunConfig:
     out: str | None = None
 
     def __post_init__(self) -> None:
-        if self.threads < 1 or self.threads > 256:
-            raise DomainError(f"threads must lie in [1, 256], got {self.threads}")
+        check_threads(self.threads)
         if self.out is not None:
             parent = os.path.dirname(os.path.abspath(self.out))
             if not os.path.isdir(parent):

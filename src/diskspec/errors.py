@@ -1,10 +1,18 @@
-"""Exception types shared across the package.
+"""Exception types and argument checks shared across the package.
 
 Three failure families are distinguished so callers (and the CLI) can map
 them to exit codes: bad mathematical inputs, quadrature that failed to
 converge within its node budget, and root refinement that could not be
-certified.
+certified.  The checks below are the one place each kind of argument
+(integer order or index, scale, thread count) is validated.
 """
+
+import math
+
+import numpy as np
+
+# Worker threads any call may fan out to; the CLI and the library share it.
+MAX_THREADS = 256
 
 
 class DomainError(ValueError):
@@ -17,3 +25,29 @@ class QuadratureError(RuntimeError):
 
 class RefinementError(RuntimeError):
     """Root refinement failed to produce a certified bracket."""
+
+
+def check_integer(value, name: str, least: int | None = None, most: int | None = None) -> int:
+    """value as an int; DomainError unless it is a non-bool integer in [least, most]."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise DomainError(f"{name} must be at least {least}, got {value}")
+    if most is not None and value > most:
+        raise DomainError(f"{name} must be at most {most}, got {value}")
+    return int(value)
+
+
+def check_threads(threads) -> int:
+    """A worker-thread count in [1, MAX_THREADS]."""
+    return check_integer(threads, "threads", 1, MAX_THREADS)
+
+
+def check_scale(mu, upper: float, name: str = "scale") -> float:
+    """mu as a float; DomainError unless it is a real number in (0, upper]."""
+    if not (isinstance(mu, (int, float, np.floating, np.integer)) and math.isfinite(mu)):
+        raise DomainError(f"{name} must be a finite number, got {mu!r}")
+    mu = float(mu)
+    if not (0.0 < mu <= upper):
+        raise DomainError(f"{name} must lie in (0, {upper}], got {mu}")
+    return mu

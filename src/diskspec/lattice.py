@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.integrate import quad
 
-from .errors import DomainError
+from .errors import DomainError, check_integer, check_scale
 from .geometry import CuspDomain, g_profile
 
 __all__ = [
@@ -43,15 +43,6 @@ _ORIGIN_PLATEAU = 0.125
 _ORIGIN_SUPPORT = 0.25
 
 
-def _check_scale(mu: float, upper: float) -> float:
-    if not (isinstance(mu, (int, float, np.floating, np.integer)) and math.isfinite(mu)):
-        raise DomainError(f"scale must be a finite number, got {mu!r}")
-    mu = float(mu)
-    if not (0.0 < mu <= upper):
-        raise DomainError(f"scale must lie in (0, {upper}], got {mu}")
-    return mu
-
-
 def column_count(n: int, mu: float) -> int:
     """Number of lattice heights k - 1/4 in the column of mu*D at x = n.
 
@@ -59,9 +50,8 @@ def column_count(n: int, mu: float) -> int:
     formula is corrected against the membership predicate so the result
     agrees exactly with brute-force enumeration in float arithmetic.
     """
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-        raise DomainError(f"column index must be an integer, got {n!r}")
-    mu = _check_scale(mu, math.inf)
+    n = check_integer(n, "column index")
+    mu = check_scale(mu, math.inf)
     if abs(n) > mu:
         return 0
     t = mu * g_profile(n / mu)
@@ -77,7 +67,7 @@ def column_count(n: int, mu: float) -> int:
 
 def count_lattice(mu: float) -> int:
     """Total count of R inside mu*D, summed over all columns |n| <= mu."""
-    mu = _check_scale(mu, math.inf)
+    mu = check_scale(mu, math.inf)
     m = int(math.floor(mu))
     total = 0
     for n in range(-m, m + 1):
@@ -91,7 +81,7 @@ def brute_force_count(mu: float) -> int:
     Quadratic in mu, guarded at mu <= 2000.  Exists as the independent
     route against column_count.
     """
-    mu = _check_scale(mu, _BRUTE_MU_MAX)
+    mu = check_scale(mu, _BRUTE_MU_MAX)
     dom = CuspDomain(mu)
     m = int(math.floor(mu))
     ks = np.arange(1 - m - 1, int(math.floor(mu)) + 2, dtype=np.int64)
@@ -258,7 +248,7 @@ def _indicator_minus(xs, ys, mu, eps):
 
 
 def _sandwich_guard(mu: float, cfg: MollifyConfig) -> float:
-    mu = _check_scale(mu, _SANDWICH_MU_MAX)
+    mu = check_scale(mu, _SANDWICH_MU_MAX)
     if mu < _SANDWICH_MU_MIN:
         raise DomainError(f"sandwich scale must be at least {_SANDWICH_MU_MIN}, got {mu}")
     eps = cfg.epsilon(mu)
@@ -312,7 +302,7 @@ def chi_weighted_count(mu: float, cfg: MollifyConfig | None = None) -> float:
     """
     if cfg is None:
         cfg = MollifyConfig()
-    mu = _check_scale(mu, _SANDWICH_MU_MAX)
+    mu = check_scale(mu, _SANDWICH_MU_MAX)
     total = 0.0
     for n in range(1, int(math.floor(mu)) + 1):
         t = mu * g_profile(n / mu)

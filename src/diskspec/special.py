@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.special as _sp
 
-from .errors import DomainError, QuadratureError, RefinementError
+from .errors import DomainError, QuadratureError, RefinementError, check_integer
 
 __all__ = [
     "EvalAccuracy",
@@ -54,12 +54,9 @@ AIRY_RANGE = (-160.0, 10.0)
 AIRY_ZERO_MAX_K = 400
 
 
-def _check_order(n: int) -> int:
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-        raise DomainError(f"order must be an integer, got {n!r}")
-    if n < 0:
-        raise DomainError(f"order must be nonnegative, got {n}")
-    return int(n)
+def _jv_and_deriv(n: int, x):
+    """Unvalidated (J_n(x), J_n'(x)), with J_n' = (J_{n-1} - J_{n+1}) / 2."""
+    return _sp.jv(n, x), 0.5 * (_sp.jv(n - 1, x) - _sp.jv(n + 1, x))
 
 
 def bessel_j(n: int, x, want_derivative: bool = False):
@@ -69,17 +66,16 @@ def bessel_j(n: int, x, want_derivative: bool = False):
     The derivative uses the recurrence J_n' = (J_{n-1} - J_{n+1}) / 2,
     with J_{-1} = -J_1 covering n = 0.
     """
-    n = _check_order(n)
+    n = check_integer(n, "order", 0)
     arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise DomainError("argument must be finite")
-    val = _sp.jv(n, arr)
+    scalar = np.isscalar(x) or arr.ndim == 0
     if not want_derivative:
-        return float(val) if np.isscalar(x) or arr.ndim == 0 else val
-    der = 0.5 * (_sp.jv(n - 1, arr) - _sp.jv(n + 1, arr))
-    if np.isscalar(x) or arr.ndim == 0:
-        return float(val), float(der)
-    return val, der
+        val = _sp.jv(n, arr)
+        return float(val) if scalar else val
+    val, der = _jv_and_deriv(n, arr)
+    return (float(val), float(der)) if scalar else (val, der)
 
 
 def bessel_quadrature_oracle(
@@ -93,7 +89,7 @@ def bessel_quadrature_oracle(
     two successive levels agree within ``accuracy``; raises QuadratureError
     at the node cap.  Deliberately independent of the scipy route.
     """
-    n = _check_order(n)
+    n = check_integer(n, "order", 0)
     if not math.isfinite(x):
         raise DomainError("argument must be finite")
     if nodes < 16:
@@ -151,35 +147,40 @@ class AiryZero:
     correction: float
 
 
+_airy_t_cache = np.empty(0, dtype=float)
+
+
+def _airy_ts(kmax: int) -> np.ndarray:
+    """Zeros t_1..t_kmax of Ai(-t), cached; Newton-refined through k = 400."""
+    global _airy_t_cache
+    if kmax <= _airy_t_cache.size:
+        return _airy_t_cache[:kmax]
+    ks = np.arange(1, kmax + 1, dtype=float)
+    t = (3.0 * math.pi * (4.0 * ks - 1.0) / 8.0) ** (2.0 / 3.0)
+    refine = ks <= AIRY_ZERO_MAX_K
+    tr = t[refine]
+    # Ai(-t) has d/dt Ai(-t) = -Ai'(-t); the Newton step is +Ai/Ai'.
+    for _ in range(8):
+        ai, aip, _, _ = _sp.airy(-tr)
+        tr = tr + ai / aip
+    t[refine] = tr
+    _airy_t_cache = t
+    return _airy_t_cache
+
+
 def airy_zero(k: int) -> AiryZero:
     """k-th positive zero t_k of Ai(-t), refined from the asymptotic seed.
 
-    Seed: t_k ~ (3 pi (4k - 1) / 8)^(2/3).  Newton iterations on Ai(-t) are
-    run to machine stagnation and the result is certified by requiring
-    |Ai(-t)| <= 1e-12; failure raises RefinementError.
+    Seed: t_k ~ (3 pi (4k - 1) / 8)^(2/3).  The zero is read from the
+    Newton-refined table that also seeds the Bessel-zero guesses, and is
+    certified by requiring |Ai(-t)| <= 1e-12; failure raises RefinementError.
     """
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
-        raise DomainError(f"index must be an integer, got {k!r}")
-    if k < 1:
-        raise DomainError(f"index must be positive, got {k}")
-    if k > AIRY_ZERO_MAX_K:
-        raise DomainError(f"index {k} exceeds supported maximum {AIRY_ZERO_MAX_K}")
+    k = check_integer(k, "index", 1, AIRY_ZERO_MAX_K)
     initial = (3.0 * math.pi * (4 * k - 1) / 8.0) ** (2.0 / 3.0)
-    t = initial
-    for _ in range(8):
-        ai, aip, _, _ = _sp.airy(-t)
-        if aip == 0.0:
-            break
-        step = ai / aip
-        # Ai(-t) has d/dt Ai(-t) = -Ai'(-t); Newton step is +Ai/Ai'.
-        t_new = t + step
-        if abs(t_new - t) <= 1e-16 * t:
-            t = t_new
-            break
-        t = t_new
+    t = float(_airy_ts(k)[k - 1])
     residual = abs(float(_sp.airy(-t)[0]))
     if residual > 1e-12:
         raise RefinementError(
             f"airy zero k={k} failed certification: |Ai(-t)| = {residual:.3e}"
         )
-    return AiryZero(k=int(k), t=float(t), initial=float(initial), correction=float(t - initial))
+    return AiryZero(k=k, t=t, initial=float(initial), correction=float(t - initial))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, RefinementError
+from .errors import DomainError, RefinementError, check_integer, check_scale, check_threads
 from .geometry import scale_function
 from .lattice import count_lattice
 from .zeros import MU_MAX, initial_guess, refine_zero, zero_array
@@ -55,60 +55,21 @@ class CountSample:
     diff: int
 
 
-def _check_mu(mu: float) -> float:
-    if not math.isfinite(mu):
-        raise DomainError(f"scale must be finite, got {mu}")
-    mu = float(mu)
-    if not (0.0 < mu <= MU_MAX):
-        raise DomainError(f"scale must lie in (0, {MU_MAX}], got {mu}")
-    return mu
+def _disk_counts(mus: list[float], threads: int) -> np.ndarray:
+    """Shared body of count_disk and disk_counts_many, for validated scales.
 
-
-def count_disk(mu: float, threads: int = 1) -> int:
-    """N(mu): number of Dirichlet disk eigenvalues with sqrt below mu.
-
-    Sums certified zero counts over orders n = 0..floor(mu), weighting
-    n >= 1 twice.  The thread option parallelizes over orders; results are
-    reduced in order index, so the count is independent of thread timing.
+    Rows are reduced in order index, so the counts do not depend on thread
+    timing.
     """
-    mu = _check_mu(mu)
-    if threads < 1:
-        raise DomainError(f"threads must be positive, got {threads}")
-    cutoff = mu * (1.0 + BOUNDARY_SLACK)
-    orders = range(int(math.floor(cutoff)) + 1)
-
-    def zeros_below(n: int) -> int:
-        return int(zero_array(n, cutoff).size)
-
-    if threads == 1:
-        counts = [zeros_below(n) for n in orders]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            counts = list(pool.map(zeros_below, orders))
-    return counts[0] + 2 * sum(counts[1:])
-
-
-def disk_counts_many(mus, threads: int = 1) -> np.ndarray:
-    """N(mu) for a batch of scales, sharing one zero enumeration.
-
-    Zeros of each order are enumerated once up to the largest scale and
-    counted per scale by sorted search; identical to calling count_disk
-    per scale, but linear instead of quadratic in the batch.
-    """
-    mus = np.asarray(list(mus), dtype=float)
-    if mus.size == 0:
+    threads = check_threads(threads)
+    if not mus:
         return np.zeros(0, dtype=np.int64)
-    for m in mus:
-        _check_mu(float(m))
-    if threads < 1:
-        raise DomainError(f"threads must be positive, got {threads}")
-    cutoffs = mus * (1.0 + BOUNDARY_SLACK)
+    cutoffs = np.asarray(mus, dtype=float) * (1.0 + BOUNDARY_SLACK)
     top = float(np.max(cutoffs))
     orders = range(int(math.floor(top)) + 1)
 
     def counts_for(n: int) -> np.ndarray:
-        xs = zero_array(n, top)
-        return np.searchsorted(xs, cutoffs, side="right")
+        return np.searchsorted(zero_array(n, top), cutoffs, side="right")
 
     if threads == 1:
         rows = [counts_for(n) for n in orders]
@@ -121,9 +82,29 @@ def disk_counts_many(mus, threads: int = 1) -> np.ndarray:
     return total
 
 
+def count_disk(mu: float, threads: int = 1) -> int:
+    """N(mu): number of Dirichlet disk eigenvalues with sqrt below mu.
+
+    Sums certified zero counts over orders n = 0..floor(mu), weighting
+    n >= 1 twice.  The thread option parallelizes over orders; results are
+    reduced in order index, so the count is independent of thread timing.
+    """
+    return int(_disk_counts([check_scale(mu, MU_MAX)], threads)[0])
+
+
+def disk_counts_many(mus, threads: int = 1) -> np.ndarray:
+    """N(mu) for a batch of scales, sharing one zero enumeration.
+
+    Zeros of each order are enumerated once up to the largest scale and
+    counted per scale by sorted search; identical to calling count_disk
+    per scale, but linear instead of quadratic in the batch.
+    """
+    return _disk_counts([check_scale(m, MU_MAX) for m in mus], threads)
+
+
 def weyl_two_term(mu: float) -> float:
     """Two-term Weyl prediction mu^2/4 - mu/2 for the disk count."""
-    mu = _check_mu(mu)
+    mu = check_scale(mu, MU_MAX)
     return 0.25 * mu * mu - 0.5 * mu
 
 
@@ -134,8 +115,12 @@ def weyl_remainder(mu: float, count: int) -> float:
 
 def count_sample(mu: float, threads: int = 1) -> CountSample:
     """Evaluate both counting routes at one scale and bundle the numbers."""
-    mu = _check_mu(mu)
-    n_disk = count_disk(mu, threads=threads)
+    mu = check_scale(mu, MU_MAX)
+    return _sample(mu, count_disk(mu, threads=threads))
+
+
+def _sample(mu: float, n_disk: int) -> CountSample:
+    """Bundle a disk count with the lattice count and the two-term prediction."""
     n_lat = count_lattice(mu)
     weyl2 = weyl_two_term(mu)
     return CountSample(
@@ -166,12 +151,8 @@ def inner_residual(n: int, k: int) -> float:
     the scale function F inverts the column-height relation; the residual
     is O(1) and shrinks as the zero moves away from the transition range.
     """
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-        raise DomainError(f"order must be an integer, got {n!r}")
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
-        raise DomainError(f"index must be an integer, got {k!r}")
-    if n < 0 or k < 1:
-        raise DomainError(f"need order >= 0 and index >= 1, got {n}, {k}")
+    n = check_integer(n, "order", 0)
+    k = check_integer(k, "index", 1)
     if not k > INNER_REGIME_C * n:
         raise DomainError(
             f"index {k} not in the inner regime k > {INNER_REGIME_C} * {n}"

@@ -18,8 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.special as _sp
 
-from .errors import DomainError, RefinementError
+from .errors import DomainError, RefinementError, check_integer, check_scale
 from .geometry import g_profile
+from .special import _airy_ts, _jv_and_deriv
 
 __all__ = [
     "S_MAX",
@@ -68,14 +69,6 @@ class BesselZero:
     bracket_width: float
 
 
-def _check_order(n) -> int:
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-        raise DomainError(f"order must be an integer, got {n!r}")
-    if n < 0:
-        raise DomainError(f"order must be nonnegative, got {n}")
-    return int(n)
-
-
 def _phase_lhs(z):
     z = np.maximum(np.asarray(z, dtype=float), 1.0)
     return np.sqrt(np.maximum(z * z - 1.0, 0.0)) - np.arccos(1.0 / z)
@@ -118,26 +111,6 @@ def psi(s: float) -> float:
     return olver_phase(s).psi
 
 
-_airy_t_cache = np.empty(0, dtype=float)
-
-
-def _airy_ts(kmax: int) -> np.ndarray:
-    """Zeros t_1..t_kmax of Ai(-t), cached; Newton-refined through k = 400."""
-    global _airy_t_cache
-    if kmax <= _airy_t_cache.size:
-        return _airy_t_cache[:kmax]
-    ks = np.arange(1, kmax + 1, dtype=float)
-    t = (3.0 * math.pi * (4.0 * ks - 1.0) / 8.0) ** (2.0 / 3.0)
-    refine = ks <= 400
-    tr = t[refine]
-    for _ in range(8):
-        ai, aip, _, _ = _sp.airy(-tr)
-        tr = tr + ai / aip
-    t[refine] = tr
-    _airy_t_cache = t
-    return _airy_t_cache
-
-
 def _mcmahon(n: int, ks: np.ndarray) -> np.ndarray:
     """Two-term McMahon guess for the k-th zero, reliable for k > n."""
     b = (np.asarray(ks, dtype=float) + 0.5 * n - 0.25) * math.pi
@@ -165,16 +138,9 @@ def initial_guess(n: int, k: int) -> float:
     otherwise.  Guesses land within a small fraction of the local zero
     spacing for every order the package enumerates.
     """
-    n = _check_order(n)
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
-        raise DomainError(f"index must be an integer, got {k!r}")
-    if k < 1:
-        raise DomainError(f"index must be positive, got {k}")
+    n = check_integer(n, "order", 0)
+    k = check_integer(k, "index", 1)
     return float(_guess_vec(n, np.asarray([k]))[0])
-
-
-def _jv_and_deriv(n: int, x: np.ndarray):
-    return _sp.jv(n, x), 0.5 * (_sp.jv(n - 1, x) - _sp.jv(n + 1, x))
 
 
 def _newton_vec(n: int, guesses: np.ndarray) -> np.ndarray:
@@ -226,7 +192,7 @@ def refine_zero(n: int, guess: float) -> BesselZero:
     machine-width sign-change bracket.  The index k is recovered from the
     cumulative phase, so the certificate does not trust the caller's slot.
     """
-    n = _check_order(n)
+    n = check_integer(n, "order", 0)
     if not (math.isfinite(guess) and 0.0 < guess < 1e7):
         raise DomainError(f"guess must lie in (0, 1e7), got {guess}")
 
@@ -244,7 +210,7 @@ def refine_zero(n: int, guess: float) -> BesselZero:
 
     x = 0.5 * (a + b)
     for _ in range(120):
-        val, der = _sp.jv(n, x), 0.5 * (_sp.jv(n - 1, x) - _sp.jv(n + 1, x))
+        val, der = _jv_and_deriv(n, x)
         if der != 0.0:
             x_new = x - val / der
         else:
@@ -328,16 +294,21 @@ def _predicted_count(n: int, mu: float) -> int:
     return int(math.floor(mu * g_profile(u) + 0.25))
 
 
-def _enumerate(n: int, mu: float) -> np.ndarray:
-    """Certified zeros of J_n in (n, mu], as a sorted array."""
+def _enumerate(n: int, mu) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Certified zeros of J_n in (n, mu] with their residuals and bracket widths.
+
+    Validates the cutoff for both public entry points.  Each returned zero
+    is certified once, by the single _certified_batch call of the branch
+    (asymptotic guesses or the sweep fallback) that found it.
+    """
+    mu = check_scale(mu, MU_MAX * (1.0 + 1e-9), "cutoff")
     if mu <= n:
-        return np.empty(0, dtype=float)
+        return np.empty(0), np.empty(0), np.empty(0)
     k_pred = _predicted_count(n, mu)
     k_try = k_pred + 2
-    ks = np.arange(1, k_try + 1)
-    xs = _newton_vec(n, _guess_vec(n, ks))
+    xs = _newton_vec(n, _guess_vec(n, np.arange(1, k_try + 1)))
     try:
-        _certified_batch(n, xs)
+        residuals, widths = _certified_batch(n, xs)
         count = int(np.searchsorted(xs, mu, side="right"))
         if count >= k_try:
             raise RefinementError(f"enumeration for order {n} did not pass {mu}")
@@ -345,16 +316,15 @@ def _enumerate(n: int, mu: float) -> np.ndarray:
             raise RefinementError(
                 f"count {count} for order {n} disagrees with prediction {k_pred}"
             )
-        return xs[:count]
     except RefinementError:
         xs = _sweep_zeros(n, mu)
-        _certified_batch(n, xs if xs.size else np.empty(0))
+        residuals, widths = _certified_batch(n, xs)
         count = int(np.searchsorted(xs, mu, side="right"))
         if abs(count - k_pred) > 1:
             raise RefinementError(
                 f"fallback count {count} for order {n} disagrees with prediction {k_pred}"
             )
-        return xs[:count]
+    return xs[:count], residuals[:count], widths[:count]
 
 
 def zeros_up_to(n: int, mu: float) -> list[BesselZero]:
@@ -366,26 +336,18 @@ def zeros_up_to(n: int, mu: float) -> list[BesselZero]:
     the phase-space count floor(mu g(n/mu) + 1/4).  Any failure falls back
     to a bisection-only sweep; if that also fails, RefinementError.
     """
-    n = _check_order(n)
-    if not (0.0 < mu <= MU_MAX * (1.0 + 1e-9)) or not math.isfinite(mu):
-        raise DomainError(f"cutoff must lie in (0, {MU_MAX}], got {mu}")
-    xs = _enumerate(n, float(mu))
-    if xs.size == 0:
-        return []
-    residuals, widths = _certified_batch(n, xs)
+    n = check_integer(n, "order", 0)
+    xs, residuals, widths = _enumerate(n, mu)
     return [
-        BesselZero(n=n, k=int(k), x=float(x), residual=float(r), bracket_width=float(w))
-        for k, x, r, w in zip(range(1, xs.size + 1), xs, residuals, widths)
+        BesselZero(n=n, k=k, x=float(x), residual=float(r), bracket_width=float(w))
+        for k, (x, r, w) in enumerate(zip(xs, residuals, widths), start=1)
     ]
 
 
 def zero_array(n: int, mu: float) -> np.ndarray:
-    """Zeros of J_n in (0, mu] as a bare array (certified, no dataclasses).
+    """Zeros of J_n in (0, mu] as a bare array, without the record objects.
 
-    Internal-leaning fast path for bulk counting; same certificates as
-    zeros_up_to.
+    Reads the same enumeration as zeros_up_to, certified once, so both
+    names return the same zeros under the same certificates.
     """
-    n = _check_order(n)
-    if not (0.0 < mu <= MU_MAX * (1.0 + 1e-9)) or not math.isfinite(mu):
-        raise DomainError(f"cutoff must lie in (0, {MU_MAX}], got {mu}")
-    return _enumerate(n, float(mu))
+    return _enumerate(check_integer(n, "order", 0), mu)[0]

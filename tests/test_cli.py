@@ -114,6 +114,18 @@ def test_refinement_error_exit_code(monkeypatch, capsys):
     assert err["error"] == "RefinementError"
 
 
+def test_fit_rejects_unknown_column(tmp_path, capsys):
+    path = tmp_path / "scan.csv"
+    rows = [f"{mu},{mu},{mu},{mu},{mu},0" for mu in range(10, 30)]
+    path.write_text("\n".join(["mu,n_disk,n_lattice,weyl2,remainder,diff"] + rows) + "\n")
+    assert main(["fit", "--in", str(path), "--block", "2"]) == 0
+    capsys.readouterr()
+    assert main(["fit", "--in", str(path), "--block", "2", "--column", "bogus"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "DomainError"
+    assert "bogus" in err["message"]
+
+
 def test_missing_fit_input_is_domain_error(tmp_path, capsys):
     missing = tmp_path / "nope.csv"
     assert main(["fit", "--in", str(missing)]) == 2

@@ -5,19 +5,24 @@ import math
 import numpy as np
 import pytest
 
+import diskspec.spectral as spectral
 from diskspec import (
     MU_MAX,
     CountSample,
     DomainError,
+    column_count,
     compare_counts,
     count_disk,
     count_lattice,
     count_sample,
     disk_counts_many,
     inner_residual,
+    sandwich_check,
     weyl_remainder,
     weyl_two_term,
 )
+from diskspec.cli import RunConfig
+from diskspec.errors import MAX_THREADS
 from oracles import disk_count_by_sweep
 
 J0_ZERO_1 = 2.4048255576957729
@@ -113,3 +118,31 @@ def test_scale_validation():
         count_disk(100.0, threads=0)
     with pytest.raises(DomainError):
         weyl_two_term(-3.0)
+    entry_points = (
+        count_disk,
+        lambda mu: disk_counts_many([10.0, mu]),
+        count_sample,
+        count_lattice,
+        lambda mu: column_count(0, mu),
+        sandwich_check,
+    )
+    for call in entry_points:
+        for bad in (math.nan, math.inf, -math.inf, 0.0, "3"):
+            with pytest.raises(DomainError):
+                call(bad)
+
+
+def test_thread_count_is_bounded_before_any_thread_starts(monkeypatch):
+    class NoPool:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("a thread pool was started")
+
+    monkeypatch.setattr(spectral, "ThreadPoolExecutor", NoPool)
+    for threads in (0, MAX_THREADS + 1, 2.0, True):
+        with pytest.raises(DomainError):
+            disk_counts_many([10.0, 20.0], threads=threads)
+        with pytest.raises(DomainError):
+            count_disk(10.0, threads=threads)
+        with pytest.raises(DomainError):
+            RunConfig(threads=threads)
+    assert RunConfig(threads=MAX_THREADS).threads == MAX_THREADS

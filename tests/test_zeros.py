@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import diskspec.zeros as zeros_mod
 from diskspec import (
     MU_MAX,
     S_MAX,
@@ -176,3 +177,47 @@ def test_large_order_enumeration():
     # Count agrees with the phase-space prediction within one.
     predicted = math.floor(400.0 * g_profile(150.0 / 400.0) + 0.25)
     assert abs(zs.size - predicted) <= 1
+
+
+@pytest.mark.parametrize("n, mu", [(0, 40.0), (4, 30.0), (40, 60.0), (150, 400.0), (480, 500.0)])
+def test_records_carry_their_own_certificates(n, mu):
+    # Each zero is certified once inside the enumeration; the record must
+    # carry that zero's residual and bracket width, not a neighbour's.
+    zs = zeros_up_to(n, mu)
+    assert zs
+    xs = np.array([z.x for z in zs])
+    residuals, widths = zeros_mod._certified_batch(n, xs)
+    assert [z.residual for z in zs] == residuals.tolist()
+    assert [z.bracket_width for z in zs] == widths.tolist()
+    assert np.array_equal(zero_array(n, mu), xs)
+
+
+def test_sweep_fallback_recovers_the_zeros(monkeypatch):
+    orders = (0, 3, 17, 40)
+    want = {n: zeros_up_to(n, 60.0) for n in orders}
+    newton = zeros_mod._newton_vec
+    sweep = zeros_mod._sweep_zeros
+    swept = []
+
+    def perturbed(n, guesses):
+        # Off every zero by far more than the residual certificate allows.
+        return newton(n, guesses) + 1e-3
+
+    def counted_sweep(n, mu):
+        swept.append(n)
+        return sweep(n, mu)
+
+    monkeypatch.setattr(zeros_mod, "_newton_vec", perturbed)
+    monkeypatch.setattr(zeros_mod, "_sweep_zeros", counted_sweep)
+    for n in orders:
+        got = zeros_up_to(n, 60.0)
+        assert len(got) == len(want[n]) > 0
+        assert [z.k for z in got] == list(range(1, len(got) + 1))
+        for g, w in zip(got, want[n]):
+            assert abs(g.x - w.x) <= 1e-12 * w.x
+            assert g.residual <= 1e-10
+        xs = np.array([z.x for z in got])
+        residuals, widths = zeros_mod._certified_batch(n, xs)
+        assert [z.residual for z in got] == residuals.tolist()
+        assert [z.bracket_width for z in got] == widths.tolist()
+    assert swept == list(orders)
