@@ -24,6 +24,8 @@ COMMANDS = (
     "verify --suite special",
     "verify --suite geometry",
     "verify --suite lattice",
+    "verify --suite sandwich",
+    "verify --suite appendix",
     "mollify --mu 20",
 )
 

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, QuadratureError, check_integer
+from .errors import DomainError, QuadratureError, check_array, check_integer, check_real
 from .lattice import _smoothstep
 from .spectral import CountSample, _sample, disk_counts_many
 from .zeros import MU_MAX
@@ -86,10 +86,12 @@ def scan_remainder(
     counting discontinuity.  The grid includes the last point at or below
     mu_max (plus offset).
     """
+    mu_min, mu_max = check_real(mu_min, "mu_min"), check_real(mu_max, "mu_max")
+    step = check_real(step, "step")
     if not (0.0 < mu_min < mu_max):
         raise DomainError(f"need 0 < mu_min < mu_max, got {mu_min}, {mu_max}")
-    if not (step > 0.0 and math.isfinite(step)):
-        raise DomainError(f"step must be positive and finite, got {step}")
+    if not step > 0.0:
+        raise DomainError(f"step must be positive, got {step}")
     if mu_max + step * 0.01 > MU_MAX:
         raise DomainError(f"scan end {mu_max} too close to the supported cap {MU_MAX}")
     offset = step * 0.01 / math.sqrt(2.0)
@@ -110,10 +112,7 @@ def fit_envelope(
     power law unbiased on linear grids.  Requires at least 8 blocks and at
     least 8 nonzero block maxima.
     """
-    if block_size < 2:
-        raise DomainError(f"block_size must be at least 2, got {block_size}")
-    if not samples:
-        raise DomainError("no samples to fit")
+    block_size = check_integer(block_size, "block_size", 2)
     if field_name not in _SAMPLE_FIELDS:
         raise DomainError(f"field_name must be one of {_SAMPLE_FIELDS}, got {field_name!r}")
     mus = np.array([s.mu for s in samples], dtype=float)
@@ -139,7 +138,7 @@ def fit_envelope(
 
 def beta_series_limit(beta: float) -> float:
     """Closed form 2 pi (1/2 - beta) of the full series."""
-    if not (0.0 < beta < 1.0):
+    if not (0.0 < check_real(beta, "beta") < 1.0):
         raise DomainError(f"beta must lie in (0, 1), got {beta}")
     return 2.0 * math.pi * (0.5 - beta)
 
@@ -152,7 +151,7 @@ def beta_series(beta: float, q_max: int, summation: str = "abel") -> float:
     (1 - 1/Q)^q, giving monotone-in-practice convergence to
     2 pi (1/2 - beta).
     """
-    if not (0.0 < beta < 1.0):
+    if not (0.0 < check_real(beta, "beta") < 1.0):
         raise DomainError(f"beta must lie in (0, 1), got {beta}")
     q_max = check_integer(q_max, "q_max", 10)
     q = np.arange(1, q_max + 1, dtype=float)
@@ -171,20 +170,23 @@ def amplitude_cutoff(t):
     Nonzero at the origin by design; the curved-phase estimates concern
     amplitudes that do not vanish where the phase degenerates.
     """
-    t = np.asarray(t, dtype=float)
-    val = 1.0 - _smoothstep(t - 1.0)
-    val = np.where(t < 0.0, 0.0, val.reshape(t.shape) if val.shape != t.shape else val)
-    if t.ndim == 0:
-        return float(val)
-    return val
+    ta, scalar = check_array(t, "argument")
+    val = _cutoff(ta)
+    return float(val) if scalar else val
+
+
+def _cutoff(t):
+    """amplitude_cutoff without checks, for a float array t."""
+    val = 1.0 - _smoothstep(t - 1.0)  # first: a mask made earlier raises peak memory
+    return np.where(t < 0.0, 0.0, val)
 
 
 def _amp_curved_a(t):
-    return t * t * amplitude_cutoff(t)
+    return t * t * _cutoff(t)
 
 
 def _amp_curved_b(t):
-    return t * amplitude_cutoff(t)
+    return t * _cutoff(t)
 
 
 def _phase_curved_a(t, nu):
@@ -214,16 +216,15 @@ class OscIntegralSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("curved_a", "curved_b"):
             raise DomainError(f"kind must be 'curved_a' or 'curved_b', got {self.kind!r}")
-        if not (abs(self.nu) <= NU_MAX):
+        if not abs(check_real(self.nu, "nu")) <= NU_MAX:
             raise DomainError(f"|nu| must not exceed {NU_MAX}, got {self.nu}")
-        if len(self.taus) < 2 or any(t <= 0 for t in self.taus):
+        if len(self.taus) < 2 or any(check_real(t, "tau") <= 0 for t in self.taus):
             raise DomainError("taus must hold at least two positive values")
         if list(self.taus) != sorted(self.taus):
             raise DomainError("taus must be increasing")
-        if not (0.5 <= self.phase_budget <= 100.0):
+        if not (0.5 <= check_real(self.phase_budget, "phase_budget") <= 100.0):
             raise DomainError(f"phase_budget must lie in [0.5, 100], got {self.phase_budget}")
-        if not (8 <= self.gl_order <= 64):
-            raise DomainError(f"gl_order must lie in [8, 64], got {self.gl_order}")
+        check_integer(self.gl_order, "gl_order", 8, 64)
 
 
 @dataclass(frozen=True)
@@ -305,9 +306,8 @@ def linear_segment_integral(
     Both are exact, no quadrature: the straight sides contribute only
     these elementary factors to the remainder analysis.
     """
-    for name, val in (("xi", xi), ("eta", eta), ("eps", eps), ("length", length)):
-        if not math.isfinite(val):
-            raise DomainError(f"{name} must be finite, got {val}")
+    xi, eta = check_real(xi, "xi"), check_real(eta, "eta")
+    eps, length = check_real(eps, "eps"), check_real(length, "length")
     if kind == "vertical":
         if xi == 0.0:
             raise DomainError("vertical segment integral needs xi != 0")

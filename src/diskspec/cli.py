@@ -20,7 +20,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .asymptotics import fit_envelope, scan_remainder
-from .errors import DomainError, QuadratureError, RefinementError, check_threads
+from .errors import DomainError, QuadratureError, RefinementError, check_integer, check_threads
 from .lattice import MollifyConfig, sandwich_check
 from .spectral import CountSample, count_sample
 from .verify import run_suite
@@ -67,8 +67,7 @@ def _write_lines(cfg: RunConfig, lines: list[str]) -> None:
 
 def _cmd_zeros(args: argparse.Namespace) -> int:
     cfg = RunConfig(threads=args.threads, out=args.out)
-    if args.n_max < 0:
-        raise DomainError(f"--n-max must be nonnegative, got {args.n_max}")
+    orders = range(check_integer(args.n_max, "--n-max", 0) + 1)
 
     def rows(n: int) -> list[str]:
         return [
@@ -76,7 +75,6 @@ def _cmd_zeros(args: argparse.Namespace) -> int:
             for z in zeros_up_to(n, args.mu)
         ]
 
-    orders = range(args.n_max + 1)
     if cfg.threads == 1:
         blocks = [rows(n) for n in orders]
     else:
@@ -99,8 +97,7 @@ def _sample_json(s: CountSample) -> str:
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
-    cfg = RunConfig(threads=args.threads)
-    sample = count_sample(args.mu, threads=cfg.threads)
+    sample = count_sample(args.mu, threads=args.threads)
     sys.stdout.write(_sample_json(sample) + "\n")
     return 0
 

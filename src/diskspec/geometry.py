@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .errors import DomainError
+from .errors import DomainError, check_array, check_real, check_scale
 
 __all__ = [
     "g_profile",
@@ -33,16 +33,17 @@ def g_profile(x):
     Accepts a float or ndarray.  g(-1) = 1, g(1) = 0, g(0) = 1/pi, and
     g(1 - h) ~ (2 sqrt 2 / 3 pi) h^(3/2) at the cusp.
     """
-    arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise DomainError("argument must be finite")
+    arr, scalar = check_array(x, "profile argument")
     if np.any(arr < -1.0) or np.any(arr > 1.0):
         raise DomainError("profile argument must lie in [-1, 1]")
+    val = _profile(arr)
+    return float(val) if scalar else val
+
+
+def _profile(x):
+    """g_profile without checks, for a float or float array already in [-1, 1]."""
     # (1-x)(1+x) keeps full precision at both cusps.
-    val = (np.sqrt((1.0 - arr) * (1.0 + arr)) - arr * np.arccos(arr)) / math.pi
-    if np.isscalar(x) or arr.ndim == 0:
-        return float(val)
-    return val
+    return (np.sqrt((1.0 - x) * (1.0 + x)) - x * np.arccos(x)) / math.pi
 
 
 def area_D(abs_tol: float = 1e-12) -> float:
@@ -51,11 +52,11 @@ def area_D(abs_tol: float = 1e-12) -> float:
     The exact value is 1/4 (integration by parts); the quadrature route is
     kept independent so that identity stays a check, not an input.
     """
-    if not (abs_tol > 0):
+    if not check_real(abs_tol, "abs_tol") > 0:
         raise DomainError(f"abs_tol must be positive, got {abs_tol}")
 
     def height(x: float) -> float:
-        return g_profile(x) - max(0.0, -x)
+        return _profile(x) - max(0.0, -x)
 
     val, est = quad(height, -1.0, 1.0, points=[0.0], epsabs=abs_tol, limit=200)
     return float(val)
@@ -70,13 +71,13 @@ def scale_function(x: float, y: float) -> float:
     lambda g(x/lambda) is strictly increasing in lambda (its derivative is
     sqrt(1 - (x/lambda)^2) / pi).
     """
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise DomainError("point must be finite")
+    x, y = check_real(x, "x"), check_real(y, "y")
     if y <= 0.0 or y <= -x:
         raise DomainError(f"point ({x}, {y}) outside the cone y > max(0, -x)")
 
     def profile_gap(lam: float) -> float:
-        return lam * g_profile(x / lam) - y
+        # lam >= |x| throughout, so x / lam stays in [-1, 1].
+        return lam * _profile(x / lam) - y
 
     lo = abs(x)
     # On the ray lambda = |x| the profile height is 0 (x > 0) or -x (x < 0),
@@ -105,9 +106,7 @@ def involution(p: tuple[float, float]) -> tuple[float, float]:
     It exchanges the two cusps of D and maps the shifted lattice
     {(n, k - 1/4)} to itself via (n, k) -> (-n, k + n).
     """
-    x, y = p
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise DomainError("point must be finite")
+    x, y = (check_real(v, "point coordinate") for v in p)
     return (-x, y + x)
 
 
@@ -118,8 +117,7 @@ class CuspDomain:
     mu: float
 
     def __post_init__(self) -> None:
-        if not (self.mu > 0 and math.isfinite(self.mu)):
-            raise DomainError(f"scale must be positive and finite, got {self.mu}")
+        object.__setattr__(self, "mu", check_scale(self.mu, math.inf))
 
     def upper(self, x: float) -> float:
         """Upper boundary mu * g(x / mu) for |x| <= mu."""
@@ -130,8 +128,7 @@ class CuspDomain:
         return max(0.0, -x)
 
     def contains(self, x: float, y: float) -> bool:
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise DomainError("point must be finite")
+        x, y = check_real(x, "x"), check_real(y, "y")
         if x < -self.mu or x > self.mu:
             return False
         return self.lower(x) <= y <= self.upper(x)
@@ -139,5 +136,4 @@ class CuspDomain:
 
 def in_domain(mu: float, p: tuple[float, float]) -> bool:
     """Closed membership test for p in mu * D."""
-    x, y = p
-    return CuspDomain(mu).contains(float(x), float(y))
+    return CuspDomain(mu).contains(*p)

@@ -17,8 +17,8 @@ from functools import lru_cache
 import numpy as np
 from scipy.integrate import quad
 
-from .errors import DomainError, check_integer, check_scale
-from .geometry import CuspDomain, g_profile
+from .errors import DomainError, check_array, check_integer, check_real, check_scale
+from .geometry import CuspDomain, _profile
 
 __all__ = [
     "column_count",
@@ -50,11 +50,14 @@ def column_count(n: int, mu: float) -> int:
     formula is corrected against the membership predicate so the result
     agrees exactly with brute-force enumeration in float arithmetic.
     """
-    n = check_integer(n, "column index")
-    mu = check_scale(mu, math.inf)
+    return _column(check_integer(n, "column index"), check_scale(mu, math.inf))
+
+
+def _column(n: int, mu: float) -> int:
+    """column_count without checks, for an int n and a checked scale mu."""
     if abs(n) > mu:
         return 0
-    t = mu * g_profile(n / mu)
+    t = mu * float(_profile(n / mu))
     kmax = int(math.floor(t + 0.25))
     # Fixup: the floor of t + 0.25 can be off by one ulp relative to the
     # predicate k - 1/4 <= t used by the direct membership test.
@@ -62,17 +65,14 @@ def column_count(n: int, mu: float) -> int:
         kmax += 1
     while kmax >= 1 and kmax - 0.25 > t:
         kmax -= 1
-    return max(0, kmax - max(0, -int(n)))
+    return max(0, kmax - max(0, -n))
 
 
 def count_lattice(mu: float) -> int:
     """Total count of R inside mu*D, summed over all columns |n| <= mu."""
     mu = check_scale(mu, math.inf)
     m = int(math.floor(mu))
-    total = 0
-    for n in range(-m, m + 1):
-        total += column_count(n, mu)
-    return total
+    return sum(_column(n, mu) for n in range(-m, m + 1))
 
 
 def brute_force_count(mu: float) -> int:
@@ -111,13 +111,13 @@ class MollifyConfig:
     chi_support: float = 0.30
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.eps_exponent <= 0.5):
+        if not (0.0 < check_real(self.eps_exponent, "eps_exponent") <= 0.5):
             raise DomainError(f"eps_exponent must lie in (0, 1/2], got {self.eps_exponent}")
-        if not (0.0 < self.eps_scale <= 1.0):
+        if not (0.0 < check_real(self.eps_scale, "eps_scale") <= 1.0):
             raise DomainError(f"eps_scale must lie in (0, 1], got {self.eps_scale}")
-        if self.quad_cells < 16:
-            raise DomainError(f"quad_cells must be at least 16, got {self.quad_cells}")
-        if not (0.0 < self.chi_plateau < self.chi_support <= 0.5):
+        check_integer(self.quad_cells, "quad_cells", 16)
+        plateau = check_real(self.chi_plateau, "chi_plateau")
+        if not (0.0 < plateau < check_real(self.chi_support, "chi_support") <= 0.5):
             raise DomainError(
                 f"need 0 < chi_plateau < chi_support <= 1/2, got "
                 f"{self.chi_plateau}, {self.chi_support}"
@@ -130,9 +130,9 @@ class MollifyConfig:
 def _smoothstep(t):
     """C-infinity ramp: 0 for t <= 0, 1 for t >= 1, exp-based in between.
 
-    Always returns an ndarray of at least one dimension.
+    Returns a float ndarray of the shape of t.
     """
-    t = np.atleast_1d(np.asarray(t, dtype=float))
+    t = np.asarray(t, dtype=float)
     hi = t >= 1.0
     mid = (t > 0.0) & ~hi
     out = np.zeros(t.shape)
@@ -155,17 +155,18 @@ def _rho_norm() -> float:
 
 def rho(x, y):
     """Radial exp-bump mollifier, supported in the open unit ball, unit mass."""
-    xa = np.asarray(x, dtype=float)
-    ya = np.asarray(y, dtype=float)
-    scalar = xa.ndim == 0 and ya.ndim == 0
-    xb, yb = np.broadcast_arrays(np.atleast_1d(xa), np.atleast_1d(ya))
-    r2 = xb * xb + yb * yb
-    out = np.zeros(r2.shape)
+    (xa, x_scalar), (ya, y_scalar) = check_array(x, "x"), check_array(y, "y")
+    out = _rho(xa, ya)
+    return float(out) if x_scalar and y_scalar else out
+
+
+def _rho(x, y):
+    """rho without checks, for float arrays x and y."""
+    r2 = x * x + y * y
+    out = np.zeros(np.shape(r2))
     inside = r2 < 1.0
     out[inside] = _rho_norm() * np.exp(-1.0 / (1.0 - r2[inside]))
-    if scalar:
-        return float(out[0])
-    return out.reshape(np.broadcast(xa, ya).shape)
+    return out
 
 
 def _chi(u, cfg: MollifyConfig):
@@ -175,10 +176,9 @@ def _chi(u, cfg: MollifyConfig):
 def chi_weight(u):
     """Angular weight around the cusp direction: 1 for slopes u <= plateau,
     0 beyond the support slope, with default knees at 0.15 and 0.30."""
-    val = _chi(np.asarray(u, dtype=float), MollifyConfig())
-    if np.isscalar(u):
-        return float(val[0])
-    return val.reshape(np.asarray(u).shape)
+    ua, scalar = check_array(u, "slope")
+    val = _chi(ua, MollifyConfig())
+    return float(val) if scalar else val
 
 
 def chi0(x, y, cfg: MollifyConfig | None = None):
@@ -190,21 +190,21 @@ def chi0(x, y, cfg: MollifyConfig | None = None):
     """
     if cfg is None:
         cfg = MollifyConfig()
-    xa = np.asarray(x, dtype=float)
-    ya = np.asarray(y, dtype=float)
-    scalar = xa.ndim == 0 and ya.ndim == 0
-    xb, yb = np.broadcast_arrays(np.atleast_1d(xa), np.atleast_1d(ya))
+    (xa, x_scalar), (ya, y_scalar) = check_array(x, "x"), check_array(y, "y")
+    out = _chi0(xa, ya, cfg)
+    return float(out) if x_scalar and y_scalar else out
+
+
+def _chi0(x, y, cfg: MollifyConfig):
+    """chi0 without checks, for floats or float arrays x and y."""
+    xb, yb = np.broadcast_arrays(x, y)
     out = np.zeros(xb.shape)
     pos = xb > 0.0
-    if np.any(pos):
-        xp = xb[pos]
-        yp = yb[pos]
-        r = np.hypot(xp, yp)
-        gate = _smoothstep((r - _ORIGIN_PLATEAU) / (_ORIGIN_SUPPORT - _ORIGIN_PLATEAU))
-        out[pos] = _chi(yp / xp, cfg) * gate
-    if scalar:
-        return float(out[0])
-    return out.reshape(np.broadcast(xa, ya).shape)
+    xp, yp = xb[pos], yb[pos]
+    r = np.hypot(xp, yp)
+    gate = _smoothstep((r - _ORIGIN_PLATEAU) / (_ORIGIN_SUPPORT - _ORIGIN_PLATEAU))
+    out[pos] = _chi(yp / xp, cfg) * gate
+    return out
 
 
 def _mollifier_grid(eps: float, cells: int):
@@ -219,7 +219,7 @@ def _mollifier_grid(eps: float, cells: int):
     z = -eps + h * (np.arange(cells) + 0.5)
     zx = z[:, None]
     zy = z[None, :]
-    w = rho(zx / eps, zy / eps)
+    w = _rho(zx / eps, zy / eps)
     w = w / w.sum()
     return z, w
 
@@ -228,7 +228,7 @@ def _indicator_plus(xs, ys, mu, eps):
     """Indicator of the outer region: 0 <= x <= mu, 0 <= y <= mu g(x/mu) + 2 eps."""
     inx = (xs >= 0.0) & (xs <= mu)
     u = np.clip(np.where(inx, xs, 0.0) / mu, -1.0, 1.0)
-    top = mu * g_profile(u) + 2.0 * eps
+    top = mu * _profile(u) + 2.0 * eps
     return np.where(inx & (ys >= 0.0) & (ys <= top), 1.0, 0.0)
 
 
@@ -241,13 +241,13 @@ def _indicator_minus(xs, ys, mu, eps):
     """
     inx = (xs >= 0.0) & (xs <= mu)
     u = np.clip(np.where(inx, xs, 0.0) / mu, -1.0, 1.0)
-    top = mu * g_profile(u) - 2.0 * eps
+    top = mu * _profile(u) - 2.0 * eps
     pos = (ys >= 0.0) & (ys <= top)
     neg = (ys < 0.0) & (ys >= top)
     return np.where(inx & pos, 1.0, 0.0) - np.where(inx & neg, 1.0, 0.0)
 
 
-def _sandwich_guard(mu: float, cfg: MollifyConfig) -> float:
+def _sandwich_guard(mu: float, cfg: MollifyConfig) -> tuple[float, float]:
     mu = check_scale(mu, _SANDWICH_MU_MAX)
     if mu < _SANDWICH_MU_MIN:
         raise DomainError(f"sandwich scale must be at least {_SANDWICH_MU_MIN}, got {mu}")
@@ -256,7 +256,7 @@ def _sandwich_guard(mu: float, cfg: MollifyConfig) -> float:
     # radius must stay below that for the sandwich argument to close.
     if eps >= 0.7:
         raise DomainError(f"mollifier radius {eps:.3f} too large for the lattice offset")
-    return eps
+    return mu, eps
 
 
 def mollified_count(sign: int, mu: float, cfg: MollifyConfig | None = None) -> float:
@@ -267,24 +267,23 @@ def mollified_count(sign: int, mu: float, cfg: MollifyConfig | None = None) -> f
     with cfg.quad_cells cells per axis on [-eps, eps]^2.  Accumulation runs
     in a fixed column-then-height order so reruns are bit-identical.
     """
-    if sign not in (1, -1):
+    if check_integer(sign, "sign") not in (1, -1):
         raise DomainError(f"sign must be +1 or -1, got {sign}")
     if cfg is None:
         cfg = MollifyConfig()
-    eps = _sandwich_guard(mu, cfg)
-    mu = float(mu)
+    mu, eps = _sandwich_guard(mu, cfg)
     z, w = _mollifier_grid(eps, cfg.quad_cells)
     indicator = _indicator_plus if sign == 1 else _indicator_minus
     total = 0.0
     n_hi = int(math.floor(mu + eps)) + 1
     for n in range(1, n_hi + 1):
         xs = n - z[:, None]
-        hmax = mu * g_profile(min(max(n / mu, 0.0), 1.0)) if n <= mu else 0.0
+        hmax = mu * float(_profile(min(max(n / mu, 0.0), 1.0))) if n <= mu else 0.0
         k_lo = int(math.ceil(0.25 - 3.0 * eps))
         k_hi = int(math.floor(hmax + 3.0 * eps + 0.25)) + 1
         for k in range(k_lo, k_hi + 1):
             y = k - 0.25
-            weight = chi0(n / mu, y / mu, cfg)
+            weight = float(_chi0(n / mu, y / mu, cfg))
             if weight == 0.0:
                 continue
             ys = y - z[None, :]
@@ -305,10 +304,10 @@ def chi_weighted_count(mu: float, cfg: MollifyConfig | None = None) -> float:
     mu = check_scale(mu, _SANDWICH_MU_MAX)
     total = 0.0
     for n in range(1, int(math.floor(mu)) + 1):
-        t = mu * g_profile(n / mu)
+        t = mu * float(_profile(n / mu))
         for k in range(1, int(math.floor(t + 0.25)) + 2):
             if k - 0.25 <= t:
-                total += float(chi0(n / mu, (k - 0.25) / mu, cfg))
+                total += float(_chi0(n / mu, (k - 0.25) / mu, cfg))
     return total
 
 
@@ -331,9 +330,9 @@ def sandwich_check(mu: float, cfg: MollifyConfig | None = None) -> SandwichResul
     """Evaluate N^- <= N_chi <= N^+ at scale mu with the given config."""
     if cfg is None:
         cfg = MollifyConfig()
-    eps = _sandwich_guard(mu, cfg)
+    mu, eps = _sandwich_guard(mu, cfg)
     return SandwichResult(
-        mu=float(mu),
+        mu=mu,
         eps=eps,
         n_minus=mollified_count(-1, mu, cfg),
         n_exact=chi_weighted_count(mu, cfg),

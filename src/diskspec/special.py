@@ -14,7 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.special as _sp
 
-from .errors import DomainError, QuadratureError, RefinementError, check_integer
+from .errors import (
+    DomainError, QuadratureError, RefinementError, check_array, check_integer, check_real,
+)
 
 __all__ = [
     "EvalAccuracy",
@@ -38,12 +40,11 @@ class EvalAccuracy:
     max_nodes: int = 2**20
 
     def __post_init__(self) -> None:
-        if not (self.abs_tol > 0 and math.isfinite(self.abs_tol)):
-            raise DomainError(f"abs_tol must be positive and finite, got {self.abs_tol}")
-        if not (self.rel_tol >= 0 and math.isfinite(self.rel_tol)):
-            raise DomainError(f"rel_tol must be nonnegative and finite, got {self.rel_tol}")
-        if self.max_nodes < 64:
-            raise DomainError(f"max_nodes must be at least 64, got {self.max_nodes}")
+        if not check_real(self.abs_tol, "abs_tol") > 0:
+            raise DomainError(f"abs_tol must be positive, got {self.abs_tol}")
+        if not check_real(self.rel_tol, "rel_tol") >= 0:
+            raise DomainError(f"rel_tol must be nonnegative, got {self.rel_tol}")
+        check_integer(self.max_nodes, "max_nodes", 64)
 
 
 DEFAULT_ACCURACY = EvalAccuracy()
@@ -67,10 +68,7 @@ def bessel_j(n: int, x, want_derivative: bool = False):
     with J_{-1} = -J_1 covering n = 0.
     """
     n = check_integer(n, "order", 0)
-    arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise DomainError("argument must be finite")
-    scalar = np.isscalar(x) or arr.ndim == 0
+    arr, scalar = check_array(x, "argument")
     if not want_derivative:
         val = _sp.jv(n, arr)
         return float(val) if scalar else val
@@ -90,12 +88,8 @@ def bessel_quadrature_oracle(
     at the node cap.  Deliberately independent of the scipy route.
     """
     n = check_integer(n, "order", 0)
-    if not math.isfinite(x):
-        raise DomainError("argument must be finite")
-    if nodes < 16:
-        raise DomainError(f"starting node count must be at least 16, got {nodes}")
-    acc = accuracy
-    m = int(nodes)
+    x = check_real(x, "argument")
+    m = check_integer(nodes, "starting node count", 16)
     # An m-node rule folds every J_{n+jm}(x) onto the estimate, and levels m
     # and 2m share the even-j aliases, so agreement below n + |x| nodes can
     # be spurious.  Start above the aliasing band: the nearest folded order
@@ -104,15 +98,15 @@ def bessel_quadrature_oracle(
         m *= 2
     t = -math.pi + 2.0 * math.pi * np.arange(m) / m
     prev = float(np.mean(np.cos(x * np.sin(t) - n * t)))
-    while m <= acc.max_nodes:
+    while m <= accuracy.max_nodes:
         m *= 2
         t = -math.pi + 2.0 * math.pi * np.arange(m) / m
         cur = float(np.mean(np.cos(x * np.sin(t) - n * t)))
-        if abs(cur - prev) <= acc.abs_tol + acc.rel_tol * abs(cur):
+        if abs(cur - prev) <= accuracy.abs_tol + accuracy.rel_tol * abs(cur):
             return cur
         prev = cur
     raise QuadratureError(
-        f"bessel quadrature did not converge for n={n}, x={x} within {acc.max_nodes} nodes"
+        f"bessel quadrature did not converge for n={n}, x={x} within {accuracy.max_nodes} nodes"
     )
 
 
@@ -123,18 +117,14 @@ def airy_ai(x, want_derivative: bool = False):
     would need oscillatory asymptotics this package does not certify, and
     far positive ones underflow.
     """
-    arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise DomainError("argument must be finite")
+    arr, scalar = check_array(x, "argument")
     lo, hi = AIRY_RANGE
     if np.any(arr < lo) or np.any(arr > hi):
         raise DomainError(f"argument outside supported Airy range [{lo}, {hi}]")
     ai, aip, _, _ = _sp.airy(arr)
-    if not want_derivative:
-        return float(ai) if np.isscalar(x) or arr.ndim == 0 else ai
-    if np.isscalar(x) or arr.ndim == 0:
-        return float(ai), float(aip)
-    return ai, aip
+    if scalar:
+        ai, aip = float(ai), float(aip)
+    return (ai, aip) if want_derivative else ai
 
 
 @dataclass(frozen=True)

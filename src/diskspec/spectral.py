@@ -15,7 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, RefinementError, check_integer, check_scale, check_threads
+from .errors import (
+    DomainError, RefinementError, check_integer, check_real, check_scale, check_threads,
+)
 from .geometry import scale_function
 from .lattice import count_lattice
 from .zeros import MU_MAX, initial_guess, refine_zero, zero_array
@@ -110,7 +112,7 @@ def weyl_two_term(mu: float) -> float:
 
 def weyl_remainder(mu: float, count: int) -> float:
     """Remainder of a count against the two-term prediction at scale mu."""
-    return float(count) - weyl_two_term(mu)
+    return check_real(count, "count") - weyl_two_term(mu)
 
 
 def count_sample(mu: float, threads: int = 1) -> CountSample:

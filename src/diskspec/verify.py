@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import asymptotics, geometry, lattice, special, spectral
+from .errors import DomainError
 
 __all__ = ["CheckResult", "SUITES", "run_suite"]
 
@@ -189,8 +190,6 @@ SUITES = {
 
 def run_suite(name: str, mu: float | None = None) -> list[CheckResult]:
     """Run one named suite; unknown names raise DomainError."""
-    from .errors import DomainError
-
     if name not in SUITES:
         raise DomainError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     return SUITES[name](mu)

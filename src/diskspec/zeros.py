@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.special as _sp
 
-from .errors import DomainError, RefinementError, check_integer, check_scale
+from .errors import DomainError, RefinementError, check_integer, check_real, check_scale
 from .geometry import g_profile
 from .special import _airy_ts, _jv_and_deriv
 
@@ -98,12 +98,11 @@ def olver_phase(s: float) -> OlverPhase:
     The increment psi = z - 1 drives the transition-regime zero guess
     x ~ n (1 + psi(t_k / n^(2/3))); psi(0) = 0 and psi'(0) = 2^(-1/3).
     """
-    if not math.isfinite(s):
-        raise DomainError("argument must be finite")
+    s = check_real(s, "argument")
     if s < 0.0 or s > S_MAX:
         raise DomainError(f"argument must lie in [0, {S_MAX}], got {s}")
     p = float(_psi_vec(np.asarray([s]))[0])
-    return OlverPhase(s=float(s), z=1.0 + p, psi=p)
+    return OlverPhase(s=s, z=1.0 + p, psi=p)
 
 
 def psi(s: float) -> float:
@@ -193,7 +192,8 @@ def refine_zero(n: int, guess: float) -> BesselZero:
     cumulative phase, so the certificate does not trust the caller's slot.
     """
     n = check_integer(n, "order", 0)
-    if not (math.isfinite(guess) and 0.0 < guess < 1e7):
+    guess = check_real(guess, "guess")
+    if not 0.0 < guess < 1e7:
         raise DomainError(f"guess must lie in (0, 1e7), got {guess}")
 
     h = math.pi / 4.0

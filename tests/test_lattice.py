@@ -49,7 +49,8 @@ def test_column_shear_symmetry(n, mu):
 
 
 def test_total_count_matches_brute_force():
-    for mu in (1.0, 5.0, 9.5, 17.3, 30.0, 61.7):
+    seeded = np.random.default_rng(21).uniform(60, 500, 8)
+    for mu in (1.0, 5.0, 9.5, 17.3, 30.0, 61.7, *seeded):
         assert count_lattice(mu) == brute_force_count(mu)
 
 
