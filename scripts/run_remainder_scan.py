@@ -7,7 +7,6 @@ fits for the two-term remainder and for the route difference.
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -37,7 +36,6 @@ def main(argv=None) -> int:
     ap.add_argument("--mu-max", type=float, default=1500.0)
     ap.add_argument("--points", type=int, default=200)
     ap.add_argument("--block", type=int, default=20)
-    ap.add_argument("--threads", type=int, default=min(os.cpu_count() or 1, 8))
     ap.add_argument("--out-csv", default="remainder_scan.csv")
     ap.add_argument("--out-json", default="remainder_scan_summary.json")
     args = ap.parse_args(argv)
@@ -46,7 +44,7 @@ def main(argv=None) -> int:
 
     step = (args.mu_max - args.mu_min) / (args.points - 1)
     start = time.perf_counter()
-    samples = scan_remainder(args.mu_min, args.mu_max, step, threads=args.threads)
+    samples = scan_remainder(args.mu_min, args.mu_max, step)
     elapsed = time.perf_counter() - start
 
     with open(args.out_csv, "w", newline="") as fh:

@@ -76,9 +76,7 @@ def _power_fit(log_x: np.ndarray, log_y: np.ndarray) -> FitResult:
     )
 
 
-def scan_remainder(
-    mu_min: float, mu_max: float, step: float, threads: int = 1
-) -> list[CountSample]:
+def scan_remainder(mu_min: float, mu_max: float, step: float) -> list[CountSample]:
     """Sample both counts on the offset grid mu_min + i step + step/(100 sqrt 2).
 
     The fixed irrational offset keeps scales away from integers and
@@ -97,7 +95,7 @@ def scan_remainder(
     offset = step * 0.01 / math.sqrt(2.0)
     n_pts = int(math.floor((mu_max - mu_min) / step + 1e-9)) + 1
     mus = [mu_min + i * step + offset for i in range(n_pts)]
-    disk = disk_counts_many(mus, threads=threads)
+    disk = disk_counts_many(mus)
     return [_sample(mu, int(nd)) for mu, nd in zip(mus, disk)]
 
 

@@ -3,8 +3,7 @@
 Subcommands map one-to-one onto the package's experiment surface: zero
 tables, single counts, remainder scans, envelope fits, self-check suites,
 and the mollified sandwich.  All float output goes through %.17g and all
-files end lines with LF, so reruns (including reruns with a different
-thread count) are byte-identical.
+files end lines with LF, so reruns are byte-identical.
 
 Exit codes: 0 success, 1 verification violation, 2 bad arguments or
 domain errors, 3 quadrature or refinement failures.
@@ -16,11 +15,10 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .asymptotics import fit_envelope, scan_remainder
-from .errors import DomainError, QuadratureError, RefinementError, check_integer, check_threads
+from .errors import DomainError, QuadratureError, RefinementError, check_integer, check_real
 from .lattice import MollifyConfig, sandwich_check
 from .spectral import CountSample, count_sample
 from .verify import run_suite
@@ -35,25 +33,15 @@ def _fmt(x: float) -> str:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated cross-command options (thread count, output target)."""
+    """Validated cross-command options (the output target)."""
 
-    threads: int = 1
     out: str | None = None
 
     def __post_init__(self) -> None:
-        check_threads(self.threads)
         if self.out is not None:
             parent = os.path.dirname(os.path.abspath(self.out))
             if not os.path.isdir(parent):
                 raise DomainError(f"output directory does not exist: {parent}")
-
-
-def _default_threads() -> int:
-    raw = os.environ.get("DISKSPEC_THREADS", "1")
-    try:
-        return int(raw)
-    except ValueError:
-        raise DomainError(f"DISKSPEC_THREADS must be an integer, got {raw!r}")
 
 
 def _write_lines(cfg: RunConfig, lines: list[str]) -> None:
@@ -66,23 +54,13 @@ def _write_lines(cfg: RunConfig, lines: list[str]) -> None:
 
 
 def _cmd_zeros(args: argparse.Namespace) -> int:
-    cfg = RunConfig(threads=args.threads, out=args.out)
-    orders = range(check_integer(args.n_max, "--n-max", 0) + 1)
-
-    def rows(n: int) -> list[str]:
-        return [
+    cfg = RunConfig(out=args.out)
+    lines = ["n,k,x,residual"]
+    for n in range(check_integer(args.n_max, "--n-max", 0) + 1):
+        lines.extend(
             f"{z.n},{z.k},{_fmt(z.x)},{_fmt(z.residual)}"
             for z in zeros_up_to(n, args.mu)
-        ]
-
-    if cfg.threads == 1:
-        blocks = [rows(n) for n in orders]
-    else:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            blocks = list(pool.map(rows, orders))
-    lines = ["n,k,x,residual"]
-    for block in blocks:
-        lines.extend(block)
+        )
     _write_lines(cfg, lines)
     return 0
 
@@ -97,14 +75,14 @@ def _sample_json(s: CountSample) -> str:
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
-    sample = count_sample(args.mu, threads=args.threads)
+    sample = count_sample(args.mu)
     sys.stdout.write(_sample_json(sample) + "\n")
     return 0
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
-    cfg = RunConfig(threads=args.threads, out=args.out)
-    samples = scan_remainder(args.mu_min, args.mu_max, args.step, threads=cfg.threads)
+    cfg = RunConfig(out=args.out)
+    samples = scan_remainder(args.mu_min, args.mu_max, args.step)
     lines = ["mu,n_disk,n_lattice,weyl2,remainder,diff"]
     for s in samples:
         lines.append(
@@ -123,14 +101,15 @@ def _read_samples(path: str) -> list[CountSample]:
     samples = []
     with open(path, newline="") as fh:
         for row in csv.DictReader(fh):
+            # float() accepts nan and inf; check_real's DomainError is a ValueError.
             try:
                 samples.append(
                     CountSample(
-                        mu=float(row["mu"]),
+                        mu=check_real(float(row["mu"]), "mu"),
                         n_disk=int(row["n_disk"]),
                         n_lattice=int(row["n_lattice"]),
-                        weyl2=float(row["weyl2"]),
-                        remainder=float(row["remainder"]),
+                        weyl2=check_real(float(row["weyl2"]), "weyl2"),
+                        remainder=check_real(float(row["remainder"]), "remainder"),
                         diff=int(row["diff"]),
                     )
                 )
@@ -196,12 +175,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, required=True, help="largest order to tabulate")
     p.add_argument("--mu", type=float, required=True, help="upper cutoff for zeros")
     p.add_argument("--out", default=None, help="output CSV path (default stdout)")
-    p.add_argument("--threads", type=int, default=_default_threads())
     p.set_defaults(func=_cmd_zeros)
 
     p = sub.add_parser("count", help="both counts and the remainder at one scale")
     p.add_argument("--mu", type=float, required=True)
-    p.add_argument("--threads", type=int, default=_default_threads())
     p.set_defaults(func=_cmd_count)
 
     p = sub.add_parser("scan", help="remainder scan over an offset grid, CSV")
@@ -209,7 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu-max", type=float, required=True)
     p.add_argument("--step", type=float, required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--threads", type=int, default=_default_threads())
     p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser("fit", help="block-maxima envelope fit of a scan CSV")

@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 
-# Worker threads any call may fan out to; the CLI and the library share it.
+# Worker threads disk_counts_many may fan out to; nothing else takes a thread count.
 MAX_THREADS = 256
 
 
@@ -50,7 +50,10 @@ def check_real(value, name: str) -> float:
 
 def check_array(x, name: str) -> tuple[np.ndarray, bool]:
     """(x as a float array, whether x is 0-d); DomainError unless all finite non-bool reals."""
-    arr = np.asarray(x)
+    try:
+        arr = np.asarray(x)
+    except ValueError:  # a ragged nested sequence
+        raise DomainError(f"{name} must hold finite real numbers, got a ragged sequence")
     if arr.dtype.kind not in "iuf" or not np.all(np.isfinite(arr)):
         raise DomainError(f"{name} must hold finite real numbers, got {arr.dtype} data")
     return arr.astype(float, copy=False), arr.ndim == 0

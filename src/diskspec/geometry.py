@@ -26,6 +26,9 @@ __all__ = [
     "CuspDomain",
 ]
 
+# Largest scale scale_function brackets; a point that needs more is rejected.
+_BRACKET_MAX = 1e18
+
 
 def g_profile(x):
     """Upper profile g(x) = (sqrt(1 - x^2) - x arccos x) / pi on [-1, 1].
@@ -83,10 +86,11 @@ def scale_function(x: float, y: float) -> float:
     # On the ray lambda = |x| the profile height is 0 (x > 0) or -x (x < 0),
     # both below y, so profile_gap(lo) < 0 whenever lo > 0.
     hi = max(2.0 * abs(x), math.pi * y, 1e-12)
-    while profile_gap(hi) < 0.0:
+    while hi <= _BRACKET_MAX and profile_gap(hi) < 0.0:
         hi *= 2.0
-        if hi > 1e18:
-            raise DomainError(f"scale bracket failed for ({x}, {y})")
+    # The cap also bounds the starting bracket, so pi * y cannot overflow to inf.
+    if hi > _BRACKET_MAX:
+        raise DomainError(f"scale bracket for ({x}, {y}) exceeds {_BRACKET_MAX:g}")
     if lo == 0.0:
         return math.pi * y
     for _ in range(120):

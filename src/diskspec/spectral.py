@@ -76,6 +76,7 @@ def _disk_counts(mus: list[float], threads: int) -> np.ndarray:
     if threads == 1:
         rows = [counts_for(n) for n in orders]
     else:
+        # Kept only because perfbench's spectral.threads2_speedup metric asks for 2.
         with ThreadPoolExecutor(max_workers=threads) as pool:
             rows = list(pool.map(counts_for, orders))
     total = np.array(rows[0], dtype=np.int64)
@@ -84,14 +85,13 @@ def _disk_counts(mus: list[float], threads: int) -> np.ndarray:
     return total
 
 
-def count_disk(mu: float, threads: int = 1) -> int:
+def count_disk(mu: float) -> int:
     """N(mu): number of Dirichlet disk eigenvalues with sqrt below mu.
 
     Sums certified zero counts over orders n = 0..floor(mu), weighting
-    n >= 1 twice.  The thread option parallelizes over orders; results are
-    reduced in order index, so the count is independent of thread timing.
+    n >= 1 twice.
     """
-    return int(_disk_counts([check_scale(mu, MU_MAX)], threads)[0])
+    return int(_disk_counts([check_scale(mu, MU_MAX)], 1)[0])
 
 
 def disk_counts_many(mus, threads: int = 1) -> np.ndarray:
@@ -115,10 +115,10 @@ def weyl_remainder(mu: float, count: int) -> float:
     return check_real(count, "count") - weyl_two_term(mu)
 
 
-def count_sample(mu: float, threads: int = 1) -> CountSample:
+def count_sample(mu: float) -> CountSample:
     """Evaluate both counting routes at one scale and bundle the numbers."""
     mu = check_scale(mu, MU_MAX)
-    return _sample(mu, count_disk(mu, threads=threads))
+    return _sample(mu, count_disk(mu))
 
 
 def _sample(mu: float, n_disk: int) -> CountSample:
@@ -135,7 +135,7 @@ def _sample(mu: float, n_disk: int) -> CountSample:
     )
 
 
-def compare_counts(mu: float, threads: int = 1) -> int:
+def compare_counts(mu: float) -> int:
     """count_disk(mu) - count_lattice(mu).
 
     The two routes track each other to O(mu^(2/3)): a zero slightly
@@ -143,7 +143,7 @@ def compare_counts(mu: float, threads: int = 1) -> int:
     admits the lattice point but not yet the zero.  The scan-level check
     bounds |diff| / mu^(2/3), it does not demand zero.
     """
-    return count_sample(mu, threads=threads).diff
+    return count_sample(mu).diff
 
 
 def inner_residual(n: int, k: int) -> float:

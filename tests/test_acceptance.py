@@ -6,7 +6,6 @@ constants are printed so runs leave a numeric trail next to pass/fail.
 """
 
 import math
-import os
 import time
 
 import numpy as np
@@ -46,9 +45,8 @@ def zero_table():
 
 @pytest.fixture(scope="module")
 def remainder_scan():
-    threads = min(os.cpu_count() or 1, 8)
     start = time.perf_counter()
-    samples = scan_remainder(50.0, 1500.0, (1500.0 - 50.0) / 199.0, threads=threads)
+    samples = scan_remainder(50.0, 1500.0, (1500.0 - 50.0) / 199.0)
     elapsed = time.perf_counter() - start
     assert len(samples) == 200
     return samples, elapsed

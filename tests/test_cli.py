@@ -39,11 +39,10 @@ def test_zeros_csv_schema(tmp_path):
 
 
 def test_zeros_deterministic_across_runs_and_threads(tmp_path):
-    a, b, c = (tmp_path / name for name in ("a.csv", "b.csv", "c.csv"))
-    main(["zeros", "--n-max", "6", "--mu", "40", "--out", str(a), "--threads", "1"])
-    main(["zeros", "--n-max", "6", "--mu", "40", "--out", str(b), "--threads", "1"])
-    main(["zeros", "--n-max", "6", "--mu", "40", "--out", str(c), "--threads", "3"])
-    assert a.read_bytes() == b.read_bytes() == c.read_bytes()
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    main(["zeros", "--n-max", "6", "--mu", "40", "--out", str(a)])
+    main(["zeros", "--n-max", "6", "--mu", "40", "--out", str(b)])
+    assert a.read_bytes() == b.read_bytes()
     assert b"\r" not in a.read_bytes()
 
 
@@ -62,16 +61,6 @@ def test_scan_then_fit_roundtrip(tmp_path, capsys):
     assert set(rec) == {"exponent", "log_amplitude", "r_squared", "n_points"}
     assert rec["n_points"] == 10
     assert rec["exponent"] < 1.0
-
-
-def test_scan_threads_byte_identical(tmp_path):
-    a = tmp_path / "t1.csv"
-    b = tmp_path / "t4.csv"
-    main(["scan", "--mu-min", "30", "--mu-max", "90", "--step", "10",
-          "--out", str(a), "--threads", "1"])
-    main(["scan", "--mu-min", "30", "--mu-max", "90", "--step", "10",
-          "--out", str(b), "--threads", "4"])
-    assert a.read_bytes() == b.read_bytes()
 
 
 def test_verify_suite_passes_and_emits_records(capsys):
@@ -105,7 +94,7 @@ def test_domain_error_exit_code_and_record(capsys):
 
 
 def test_refinement_error_exit_code(monkeypatch, capsys):
-    def boom(mu, threads=1):
+    def boom(mu):
         raise RefinementError("synthetic failure")
 
     monkeypatch.setattr(cli, "count_sample", boom)
@@ -149,29 +138,41 @@ def test_usage_errors_raise_system_exit():
         main([])
 
 
-def test_threads_env_default(monkeypatch, capsys):
-    monkeypatch.setenv("DISKSPEC_THREADS", "2")
-    assert main(["count", "--mu", "30"]) == 0
-    with_env = capsys.readouterr().out
-    monkeypatch.delenv("DISKSPEC_THREADS")
-    assert main(["count", "--mu", "30"]) == 0
-    assert capsys.readouterr().out == with_env
-
-
-def test_invalid_threads_env_is_domain_error(monkeypatch, capsys):
+def test_no_thread_knob_in_the_cli(monkeypatch, capsys):
     monkeypatch.setenv("DISKSPEC_THREADS", "lots")
-    assert main(["count", "--mu", "10"]) == 2
-    assert json.loads(capsys.readouterr().err)["error"] == "DomainError"
+    assert main(["verify", "--suite", "geometry"]) == 0
+    assert main(["count", "--mu", "10"]) == 0
+    capsys.readouterr()
+    for argv in (
+        ["zeros", "--n-max", "1", "--mu", "10"],
+        ["count", "--mu", "10"],
+        ["scan", "--mu-min", "10", "--mu-max", "14", "--step", "2"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--threads", "2"])
+        assert exc.value.code == 2
+
+
+def test_fit_rejects_non_finite_rows(tmp_path, capsys):
+    header = "mu,n_disk,n_lattice,weyl2,remainder,diff"
+    for column in (0, 3, 4):  # mu, weyl2, remainder
+        for bad in ("nan", "inf", "-inf"):
+            rows = [f"{mu},{mu},{mu},{mu},{mu},0" for mu in range(10, 30)]
+            cells = rows[7].split(",")
+            cells[column] = bad
+            rows[7] = ",".join(cells)
+            path = tmp_path / "scan.csv"
+            path.write_text("\n".join([header] + rows) + "\n")
+            assert main(["fit", "--in", str(path), "--block", "2"]) == 2
+            err = json.loads(capsys.readouterr().err)
+            assert err["error"] == "DomainError"
+            assert "finite" in err["message"]
 
 
 def test_run_config_validation():
     with pytest.raises(DomainError):
-        RunConfig(threads=0)
-    with pytest.raises(DomainError):
-        RunConfig(threads=512)
-    with pytest.raises(DomainError):
         RunConfig(out="/no_such_dir_diskspec/out.csv")
-    assert RunConfig().threads == 1
+    assert RunConfig().out is None
 
 
 def test_scan_writes_to_stdout_without_out(capsys):

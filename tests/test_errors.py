@@ -22,7 +22,7 @@ def _spec(**kw):
 
 
 def _zeros_cli(n_max):
-    return cli._cmd_zeros(argparse.Namespace(n_max=n_max, mu=10.0, threads=1, out=None))
+    return cli._cmd_zeros(argparse.Namespace(n_max=n_max, mu=10.0, out=None))
 
 
 # One call per argument slot; the bad value goes into that slot.
@@ -37,6 +37,8 @@ SLOTS = {
     "area_D(abs_tol)": lambda v: ds.area_D(v),
     "scale_function(x)": lambda v: ds.scale_function(v, 1.0),
     "scale_function(y)": lambda v: ds.scale_function(0.1, v),
+    "scale_function(y) on the axis": lambda v: ds.scale_function(0.0, v),
+    "scale_function(y) at x=0.5": lambda v: ds.scale_function(0.5, v),
     "involution(x)": lambda v: ds.involution((v, 1.0)),
     "involution(y)": lambda v: ds.involution((0.1, v)),
     "CuspDomain(mu)": lambda v: ds.CuspDomain(v),
@@ -118,7 +120,10 @@ NAMED = [
     ("mollified_count(sign)", 1.0),
     ("zeros --n-max", -1),
     ("zeros --n-max", 2.0),
+    ("scale_function(y) on the axis", 1e308),
+    ("scale_function(y) at x=0.5", 1e308),
     ("g_profile(x)", [0.1, math.nan]),
+    ("g_profile(x)", [[0.1], [0.2, 0.3]]),
     ("bessel_j(x)", np.array([1.0, np.inf])),
     ("airy_ai(x)", ["1"]),
     ("rho(x)", np.array([True, False])),

@@ -21,7 +21,6 @@ from diskspec import (
     weyl_remainder,
     weyl_two_term,
 )
-from diskspec.cli import RunConfig
 from diskspec.errors import MAX_THREADS
 from oracles import disk_count_by_sweep
 
@@ -47,7 +46,7 @@ def test_disk_count_matches_sweep_oracle():
 
 
 def test_threading_does_not_change_counts():
-    assert count_disk(300.0, threads=4) == count_disk(300.0, threads=1)
+    assert disk_counts_many([300.0], threads=4).tolist() == [count_disk(300.0)]
 
 
 def test_batch_counts_match_single_calls():
@@ -115,7 +114,7 @@ def test_scale_validation():
     with pytest.raises(DomainError):
         count_disk(math.inf)
     with pytest.raises(DomainError):
-        count_disk(100.0, threads=0)
+        disk_counts_many([100.0], threads=0)
     with pytest.raises(DomainError):
         weyl_two_term(-3.0)
     entry_points = (
@@ -141,8 +140,3 @@ def test_thread_count_is_bounded_before_any_thread_starts(monkeypatch):
     for threads in (0, MAX_THREADS + 1, 2.0, True):
         with pytest.raises(DomainError):
             disk_counts_many([10.0, 20.0], threads=threads)
-        with pytest.raises(DomainError):
-            count_disk(10.0, threads=threads)
-        with pytest.raises(DomainError):
-            RunConfig(threads=threads)
-    assert RunConfig(threads=MAX_THREADS).threads == MAX_THREADS
