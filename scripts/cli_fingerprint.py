@@ -24,6 +24,7 @@ from diskspec.cli import main as cli_main
 SCAN = "scan --mu-min 20 --mu-max 300 --step 0.7"
 COMMANDS = (
     "zeros --n-max 60 --mu 200",
+    "zeros --n-max 80 --mu 60",
     SCAN,
     "count --mu 123.456",
     "verify --suite special",
@@ -32,6 +33,7 @@ COMMANDS = (
     "verify --suite sandwich",
     "verify --suite appendix",
     "mollify --mu 20",
+    "mollify --mu 20 --eps-exp 0.25 --quad-cells 32",
 )
 # Reads the saved scan output; SCAN_CSV stands for its temporary path.
 FIT = "fit --in SCAN_CSV --block 5"

@@ -1,6 +1,6 @@
 """Remainder-scan experiment: both counting routes over one scale grid.
 
-Writes the per-scale CSV (same schema as `diskspec scan`) plus a JSON
+Writes the per-scale CSV (the formatter of `diskspec scan`) plus a JSON
 summary with the scaled-remainder constants and the block-maxima envelope
 fits for the two-term remainder and for the route difference.
 """
@@ -11,10 +11,7 @@ import sys
 import time
 
 from diskspec import DomainError, fit_envelope, scan_remainder
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+from diskspec.cli import scan_csv_lines
 
 
 def _fit_or_none(samples, block, field):
@@ -48,12 +45,7 @@ def main(argv=None) -> int:
     elapsed = time.perf_counter() - start
 
     with open(args.out_csv, "w", newline="") as fh:
-        fh.write("mu,n_disk,n_lattice,weyl2,remainder,diff\n")
-        for s in samples:
-            fh.write(
-                f"{_fmt(s.mu)},{s.n_disk},{s.n_lattice},{_fmt(s.weyl2)},"
-                f"{_fmt(s.remainder)},{s.diff}\n"
-            )
+        fh.write("\n".join(scan_csv_lines(samples)) + "\n")
 
     r_ratio = max(abs(s.remainder) / s.mu ** (2.0 / 3.0) for s in samples)
     d_ratio = max(abs(s.diff) / s.mu ** (2.0 / 3.0) for s in samples)

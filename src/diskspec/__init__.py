@@ -15,7 +15,6 @@ from .asymptotics import (
     OscIntegralSpec,
     amplitude_cutoff,
     beta_series,
-    beta_series_limit,
     fit_envelope,
     linear_segment_integral,
     oscillatory_decay,
@@ -29,10 +28,8 @@ from .lattice import (
     brute_force_count,
     chi0,
     chi_weight,
-    chi_weighted_count,
     column_count,
     count_lattice,
-    mollified_count,
     rho,
     sandwich_check,
 )
@@ -52,8 +49,6 @@ from .spectral import (
     count_disk,
     count_sample,
     disk_counts_many,
-    inner_residual,
-    weyl_remainder,
     weyl_two_term,
 )
 from .verify import CheckResult, run_suite
@@ -61,9 +56,7 @@ from .zeros import (
     MU_MAX,
     S_MAX,
     BesselZero,
-    OlverPhase,
     initial_guess,
-    olver_phase,
     psi,
     refine_zero,
     zero_array,
@@ -89,7 +82,6 @@ __all__ = [
     "EvalAccuracy",
     "FitResult",
     "MollifyConfig",
-    "OlverPhase",
     "OscIntegralSpec",
     "QuadratureError",
     "RefinementError",
@@ -101,11 +93,9 @@ __all__ = [
     "bessel_j",
     "bessel_quadrature_oracle",
     "beta_series",
-    "beta_series_limit",
     "brute_force_count",
     "chi0",
     "chi_weight",
-    "chi_weighted_count",
     "column_count",
     "compare_counts",
     "count_disk",
@@ -116,11 +106,8 @@ __all__ = [
     "g_profile",
     "in_domain",
     "initial_guess",
-    "inner_residual",
     "involution",
     "linear_segment_integral",
-    "mollified_count",
-    "olver_phase",
     "oscillatory_decay",
     "psi",
     "refine_zero",
@@ -129,7 +116,6 @@ __all__ = [
     "sandwich_check",
     "scale_function",
     "scan_remainder",
-    "weyl_remainder",
     "weyl_two_term",
     "zero_array",
     "zeros_up_to",

@@ -29,7 +29,6 @@ __all__ = [
     "scan_remainder",
     "fit_envelope",
     "beta_series",
-    "beta_series_limit",
     "amplitude_cutoff",
     "oscillatory_decay",
     "linear_segment_integral",
@@ -41,6 +40,10 @@ __all__ = [
 NU_MAX = 0.2
 
 DEFAULT_TAUS = tuple(float(t) for t in np.logspace(2.0, 6.0, 17))
+
+# Largest scan grid: every point costs a lattice count (about 4 ms near
+# mu = 1500), so a million points is already more than an hour of work.
+_SCAN_MAX_POINTS = 10**6
 
 _PHASE_GRID = 4097
 _PANEL_CHUNK = 200_000
@@ -93,7 +96,11 @@ def scan_remainder(mu_min: float, mu_max: float, step: float) -> list[CountSampl
     if mu_max + step * 0.01 > MU_MAX:
         raise DomainError(f"scan end {mu_max} too close to the supported cap {MU_MAX}")
     offset = step * 0.01 / math.sqrt(2.0)
-    n_pts = int(math.floor((mu_max - mu_min) / step + 1e-9)) + 1
+    n_steps = (mu_max - mu_min) / step + 1e-9
+    # Checked before the grid is built; n_steps may be inf for a tiny step.
+    if n_steps >= _SCAN_MAX_POINTS:
+        raise DomainError(f"scan grid needs more than {_SCAN_MAX_POINTS} points; raise the step")
+    n_pts = int(math.floor(n_steps)) + 1
     mus = [mu_min + i * step + offset for i in range(n_pts)]
     disk = disk_counts_many(mus)
     return [_sample(mu, int(nd)) for mu, nd in zip(mus, disk)]
@@ -132,13 +139,6 @@ def fit_envelope(
     if len(log_x) < 8:
         raise DomainError("degenerate envelope: fewer than 8 nonzero block maxima")
     return _power_fit(np.array(log_x), np.array(log_y))
-
-
-def beta_series_limit(beta: float) -> float:
-    """Closed form 2 pi (1/2 - beta) of the full series."""
-    if not (0.0 < check_real(beta, "beta") < 1.0):
-        raise DomainError(f"beta must lie in (0, 1), got {beta}")
-    return 2.0 * math.pi * (0.5 - beta)
 
 
 def beta_series(beta: float, q_max: int, summation: str = "abel") -> float:

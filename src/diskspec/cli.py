@@ -15,53 +15,50 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from .asymptotics import fit_envelope, scan_remainder
 from .errors import DomainError, QuadratureError, RefinementError, check_integer, check_real
 from .lattice import MollifyConfig, sandwich_check
 from .spectral import CountSample, count_sample
 from .verify import run_suite
-from .zeros import zeros_up_to
+from .zeros import _check_cutoff, zeros_up_to
 
-__all__ = ["RunConfig", "main"]
+__all__ = ["main"]
 
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated cross-command options (the output target)."""
-
-    out: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.out is not None:
-            parent = os.path.dirname(os.path.abspath(self.out))
-            if not os.path.isdir(parent):
-                raise DomainError(f"output directory does not exist: {parent}")
+def _check_out(out: str | None) -> None:
+    """DomainError unless out is None or a path in an existing directory."""
+    if out is not None:
+        parent = os.path.dirname(os.path.abspath(out))
+        if not os.path.isdir(parent):
+            raise DomainError(f"output directory does not exist: {parent}")
 
 
-def _write_lines(cfg: RunConfig, lines: list[str]) -> None:
+def _write_lines(out: str | None, lines: list[str]) -> None:
     text = "\n".join(lines) + "\n"
-    if cfg.out is None:
+    if out is None:
         sys.stdout.write(text)
     else:
-        with open(cfg.out, "w", newline="") as fh:
+        with open(out, "w", newline="") as fh:
             fh.write(text)
 
 
 def _cmd_zeros(args: argparse.Namespace) -> int:
-    cfg = RunConfig(out=args.out)
+    _check_out(args.out)
+    n_max = check_integer(args.n_max, "--n-max", 0)
+    mu = _check_cutoff(args.mu)
     lines = ["n,k,x,residual"]
-    for n in range(check_integer(args.n_max, "--n-max", 0) + 1):
+    # Every zero of J_n exceeds n, so orders above mu contribute nothing.
+    for n in range(min(n_max, int(mu)) + 1):
         lines.extend(
             f"{z.n},{z.k},{_fmt(z.x)},{_fmt(z.residual)}"
-            for z in zeros_up_to(n, args.mu)
+            for z in zeros_up_to(n, mu)
         )
-    _write_lines(cfg, lines)
+    _write_lines(args.out, lines)
     return 0
 
 
@@ -80,16 +77,19 @@ def _cmd_count(args: argparse.Namespace) -> int:
     return 0
 
 
+def scan_csv_lines(samples: list[CountSample]) -> list[str]:
+    """The scan CSV, header first, one line per sample and no line ends."""
+    return ["mu,n_disk,n_lattice,weyl2,remainder,diff"] + [
+        f"{_fmt(s.mu)},{s.n_disk},{s.n_lattice},{_fmt(s.weyl2)},"
+        f"{_fmt(s.remainder)},{s.diff}"
+        for s in samples
+    ]
+
+
 def _cmd_scan(args: argparse.Namespace) -> int:
-    cfg = RunConfig(out=args.out)
+    _check_out(args.out)
     samples = scan_remainder(args.mu_min, args.mu_max, args.step)
-    lines = ["mu,n_disk,n_lattice,weyl2,remainder,diff"]
-    for s in samples:
-        lines.append(
-            f"{_fmt(s.mu)},{s.n_disk},{s.n_lattice},{_fmt(s.weyl2)},"
-            f"{_fmt(s.remainder)},{s.diff}"
-        )
-    _write_lines(cfg, lines)
+    _write_lines(args.out, scan_csv_lines(samples))
     return 0
 
 
@@ -121,7 +121,7 @@ def _read_samples(path: str) -> list[CountSample]:
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
-    cfg = RunConfig(out=args.out)
+    _check_out(args.out)
     fit = fit_envelope(
         _read_samples(args.infile), block_size=args.block, field_name=args.column
     )
@@ -131,7 +131,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         f'"r_squared": {_fmt(fit.r_squared)}, "n_points": {fit.n_points}'
         "}"
     )
-    _write_lines(cfg, [line])
+    _write_lines(args.out, [line])
     return 0
 
 
@@ -150,9 +150,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_mollify(args: argparse.Namespace) -> int:
-    cfg = RunConfig(out=args.out)
-    mcfg = MollifyConfig(eps_exponent=args.eps_exp, quad_cells=args.quad_cells)
-    res = sandwich_check(args.mu, mcfg)
+    _check_out(args.out)
+    cfg = MollifyConfig(eps_exponent=args.eps_exp, quad_cells=args.quad_cells)
+    res = sandwich_check(args.mu, cfg)
     line = (
         "{"
         f'"mu": {_fmt(res.mu)}, "eps": {_fmt(res.eps)}, "n_minus": {_fmt(res.n_minus)}, '
@@ -160,7 +160,7 @@ def _cmd_mollify(args: argparse.Namespace) -> int:
         f'"holds": {str(res.holds).lower()}'
         "}"
     )
-    _write_lines(cfg, [line])
+    _write_lines(args.out, [line])
     return 0
 
 

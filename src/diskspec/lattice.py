@@ -29,8 +29,6 @@ __all__ = [
     "rho",
     "chi_weight",
     "chi0",
-    "mollified_count",
-    "chi_weighted_count",
     "sandwich_check",
 ]
 
@@ -259,19 +257,14 @@ def _sandwich_guard(mu: float, cfg: MollifyConfig) -> tuple[float, float]:
     return mu, eps
 
 
-def mollified_count(sign: int, mu: float, cfg: MollifyConfig | None = None) -> float:
-    """Smoothed lattice count N^+ (sign=+1) or N^- (sign=-1) at scale mu.
+def _mollified_count(sign: int, mu: float, eps: float, cfg: MollifyConfig) -> float:
+    """Smoothed lattice count N^+ (sign=+1) or N^- (sign=-1) at a guarded scale mu.
 
     Each lattice point m contributes chi0(m/mu) times the mollified
     indicator (1_region * rho_eps)(m), evaluated by a midpoint tensor rule
     with cfg.quad_cells cells per axis on [-eps, eps]^2.  Accumulation runs
     in a fixed column-then-height order so reruns are bit-identical.
     """
-    if check_integer(sign, "sign") not in (1, -1):
-        raise DomainError(f"sign must be +1 or -1, got {sign}")
-    if cfg is None:
-        cfg = MollifyConfig()
-    mu, eps = _sandwich_guard(mu, cfg)
     z, w = _mollifier_grid(eps, cfg.quad_cells)
     indicator = _indicator_plus if sign == 1 else _indicator_minus
     total = 0.0
@@ -292,16 +285,13 @@ def mollified_count(sign: int, mu: float, cfg: MollifyConfig | None = None) -> f
     return total
 
 
-def chi_weighted_count(mu: float, cfg: MollifyConfig | None = None) -> float:
-    """Exact chi0-weighted count over the right half-domain columns.
+def _chi_weighted_count(mu: float, cfg: MollifyConfig) -> float:
+    """Exact chi0-weighted count over the right half-domain columns at a guarded scale mu.
 
     Sums chi0(m/mu) over lattice points m in the dilate of the zero-floor
     region {0 <= x <= 1, 0 <= y <= g(x)}; the n = 0 column carries no
     weight by construction.
     """
-    if cfg is None:
-        cfg = MollifyConfig()
-    mu = check_scale(mu, _SANDWICH_MU_MAX)
     total = 0.0
     for n in range(1, int(math.floor(mu)) + 1):
         t = mu * float(_profile(n / mu))
@@ -334,7 +324,7 @@ def sandwich_check(mu: float, cfg: MollifyConfig | None = None) -> SandwichResul
     return SandwichResult(
         mu=mu,
         eps=eps,
-        n_minus=mollified_count(-1, mu, cfg),
-        n_exact=chi_weighted_count(mu, cfg),
-        n_plus=mollified_count(1, mu, cfg),
+        n_minus=_mollified_count(-1, mu, eps, cfg),
+        n_exact=_chi_weighted_count(mu, cfg),
+        n_plus=_mollified_count(1, mu, eps, cfg),
     )

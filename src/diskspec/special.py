@@ -22,7 +22,6 @@ __all__ = [
     "EvalAccuracy",
     "DEFAULT_ACCURACY",
     "AIRY_RANGE",
-    "AIRY_ZERO_MAX_K",
     "AiryZero",
     "bessel_j",
     "bessel_quadrature_oracle",

@@ -15,30 +15,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DomainError, RefinementError, check_integer, check_real, check_scale, check_threads,
-)
-from .geometry import scale_function
+from .errors import check_scale, check_threads
 from .lattice import count_lattice
-from .zeros import MU_MAX, initial_guess, refine_zero, zero_array
+from .zeros import MU_MAX, zero_array
 
 __all__ = [
-    "INNER_REGIME_C",
-    "BOUNDARY_SLACK",
     "CountSample",
     "count_disk",
     "disk_counts_many",
     "weyl_two_term",
-    "weyl_remainder",
     "count_sample",
     "compare_counts",
-    "inner_residual",
 ]
-
-# The phase-space prediction of a zero is only compared against zeros with
-# index beyond c * order; c = 1 keeps the comparison in the regime where
-# the McMahon route is the guess authority.
-INNER_REGIME_C = 1.0
 
 # Relative slack applied to the cutoff so "x <= mu" is stable against the
 # machine-scale residual of certified zeros.
@@ -110,11 +98,6 @@ def weyl_two_term(mu: float) -> float:
     return 0.25 * mu * mu - 0.5 * mu
 
 
-def weyl_remainder(mu: float, count: int) -> float:
-    """Remainder of a count against the two-term prediction at scale mu."""
-    return check_real(count, "count") - weyl_two_term(mu)
-
-
 def count_sample(mu: float) -> CountSample:
     """Evaluate both counting routes at one scale and bundle the numbers."""
     mu = check_scale(mu, MU_MAX)
@@ -145,21 +128,3 @@ def compare_counts(mu: float) -> int:
     """
     return count_sample(mu).diff
 
-
-def inner_residual(n: int, k: int) -> float:
-    """x_k(n) minus the phase-space prediction F(n, k - 1/4).
-
-    Only defined in the inner regime k > c n (c = INNER_REGIME_C), where
-    the scale function F inverts the column-height relation; the residual
-    is O(1) and shrinks as the zero moves away from the transition range.
-    """
-    n = check_integer(n, "order", 0)
-    k = check_integer(k, "index", 1)
-    if not k > INNER_REGIME_C * n:
-        raise DomainError(
-            f"index {k} not in the inner regime k > {INNER_REGIME_C} * {n}"
-        )
-    zero = refine_zero(n, initial_guess(n, k))
-    if zero.k != k:
-        raise RefinementError(f"refined zero slotted to index {zero.k}, wanted {k}")
-    return zero.x - scale_function(float(n), k - 0.25)

@@ -18,7 +18,7 @@ import numpy as np
 from . import asymptotics, geometry, lattice, special, spectral
 from .errors import DomainError
 
-__all__ = ["CheckResult", "SUITES", "run_suite"]
+__all__ = ["CheckResult", "run_suite"]
 
 
 @dataclass(frozen=True)

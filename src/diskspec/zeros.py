@@ -25,13 +25,12 @@ from .special import _airy_ts, _jv_and_deriv
 __all__ = [
     "S_MAX",
     "MU_MAX",
-    "OlverPhase",
     "BesselZero",
-    "olver_phase",
     "psi",
     "initial_guess",
     "refine_zero",
     "zeros_up_to",
+    "zero_array",
 ]
 
 # Phase-inversion window: s = t_k / n^(2/3) stays below ~2.9 whenever k <= n,
@@ -47,15 +46,6 @@ _RESIDUAL_TOL = 1e-10
 # width 8e-13 x stays below the 1e-12 x certification budget while the
 # function values at the bracket ends stay well above evaluation noise.
 _BRACKET_SCALE = 4e-13
-
-
-@dataclass(frozen=True)
-class OlverPhase:
-    """Solution of the transition-regime phase equation at argument s."""
-
-    s: float
-    z: float
-    psi: float
 
 
 @dataclass(frozen=True)
@@ -92,22 +82,17 @@ def _psi_vec(s: np.ndarray) -> np.ndarray:
     return 0.5 * (lo + hi) - 1.0
 
 
-def olver_phase(s: float) -> OlverPhase:
-    """Solve sqrt(z^2-1) - arccos(1/z) = (2/3) s^(3/2) for z >= 1.
+def psi(s: float) -> float:
+    """Phase increment psi = z - 1, where z >= 1 solves the phase equation.
 
-    The increment psi = z - 1 drives the transition-regime zero guess
-    x ~ n (1 + psi(t_k / n^(2/3))); psi(0) = 0 and psi'(0) = 2^(-1/3).
+    The equation is sqrt(z^2-1) - arccos(1/z) = (2/3) s^(3/2).  psi drives
+    the transition-regime zero guess x ~ n (1 + psi(t_k / n^(2/3)));
+    psi(0) = 0 and psi'(0) = 2^(-1/3).
     """
     s = check_real(s, "argument")
     if s < 0.0 or s > S_MAX:
         raise DomainError(f"argument must lie in [0, {S_MAX}], got {s}")
-    p = float(_psi_vec(np.asarray([s]))[0])
-    return OlverPhase(s=s, z=1.0 + p, psi=p)
-
-
-def psi(s: float) -> float:
-    """Convenience accessor for the phase increment psi(s) = z(s) - 1."""
-    return olver_phase(s).psi
+    return float(_psi_vec(np.asarray([s]))[0])
 
 
 def _mcmahon(n: int, ks: np.ndarray) -> np.ndarray:
@@ -294,6 +279,11 @@ def _predicted_count(n: int, mu: float) -> int:
     return int(math.floor(mu * g_profile(u) + 0.25))
 
 
+def _check_cutoff(mu) -> float:
+    """mu as a float; DomainError unless it lies in (0, MU_MAX], with room for rounding."""
+    return check_scale(mu, MU_MAX * (1.0 + 1e-9), "cutoff")
+
+
 def _enumerate(n: int, mu) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Certified zeros of J_n in (n, mu] with their residuals and bracket widths.
 
@@ -301,7 +291,7 @@ def _enumerate(n: int, mu) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     is certified once, by the single _certified_batch call of the branch
     (asymptotic guesses or the sweep fallback) that found it.
     """
-    mu = check_scale(mu, MU_MAX * (1.0 + 1e-9), "cutoff")
+    mu = _check_cutoff(mu)
     if mu <= n:
         return np.empty(0), np.empty(0), np.empty(0)
     k_pred = _predicted_count(n, mu)

@@ -1,13 +1,13 @@
 """Command-line surface: schemas, determinism, exit codes, error records."""
 
 import json
+import time
 
 import pytest
 
 import diskspec.cli as cli
 from diskspec import RefinementError, count_disk, count_lattice, zeros_up_to
-from diskspec.cli import RunConfig, main
-from diskspec.errors import DomainError
+from diskspec.cli import main
 
 
 def test_count_emits_one_json_record(capsys):
@@ -38,7 +38,7 @@ def test_zeros_csv_schema(tmp_path):
     assert got == want
 
 
-def test_zeros_deterministic_across_runs_and_threads(tmp_path):
+def test_zeros_deterministic_across_runs(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     main(["zeros", "--n-max", "6", "--mu", "40", "--out", str(a)])
     main(["zeros", "--n-max", "6", "--mu", "40", "--out", str(b)])
@@ -121,11 +121,23 @@ def test_missing_fit_input_is_domain_error(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "DomainError"
 
 
-def test_bad_output_directory_is_domain_error(capsys):
-    code = main(["zeros", "--n-max", "1", "--mu", "10",
-                 "--out", "/no_such_dir_diskspec/z.csv"])
-    assert code == 2
-    assert json.loads(capsys.readouterr().err)["error"] == "DomainError"
+def test_bad_output_directory_is_domain_error(tmp_path, capsys):
+    scan_csv = tmp_path / "scan.csv"
+    rows = [f"{mu},{mu},{mu},{mu},{mu},0" for mu in range(10, 30)]
+    scan_csv.write_text("\n".join(["mu,n_disk,n_lattice,weyl2,remainder,diff"] + rows) + "\n")
+    bad_out = ["--out", str(tmp_path / "no_such_dir" / "out.txt")]
+    for argv in (
+        ["zeros", "--n-max", "1", "--mu", "10"],
+        ["scan", "--mu-min", "10", "--mu-max", "14", "--step", "2"],
+        ["fit", "--in", str(scan_csv), "--block", "2"],
+        ["mollify", "--mu", "12"],
+    ):
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert main(argv + bad_out) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "DomainError"
 
 
 def test_usage_errors_raise_system_exit():
@@ -169,14 +181,18 @@ def test_fit_rejects_non_finite_rows(tmp_path, capsys):
             assert "finite" in err["message"]
 
 
-def test_run_config_validation():
-    with pytest.raises(DomainError):
-        RunConfig(out="/no_such_dir_diskspec/out.csv")
-    assert RunConfig().out is None
-
-
 def test_scan_writes_to_stdout_without_out(capsys):
     assert main(["scan", "--mu-min", "10", "--mu-max", "14", "--step", "2"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "mu,n_disk,n_lattice,weyl2,remainder,diff"
     assert len(lines) == 4
+
+
+def test_zeros_stops_at_the_last_order_with_a_zero(capsys):
+    assert main(["zeros", "--n-max", "20", "--mu", "20"]) == 0
+    want = capsys.readouterr().out
+    start = time.perf_counter()
+    assert main(["zeros", "--n-max", "1000000000", "--mu", "20"]) == 0
+    elapsed = time.perf_counter() - start
+    assert capsys.readouterr().out == want
+    assert elapsed < 1.0

@@ -21,13 +21,13 @@ def _spec(**kw):
     return ds.OscIntegralSpec(kind="curved_a", **kw)
 
 
-def _zeros_cli(n_max):
-    return cli._cmd_zeros(argparse.Namespace(n_max=n_max, mu=10.0, out=None))
+def _zeros_cli(n_max, mu=10.0):
+    return cli._cmd_zeros(argparse.Namespace(n_max=n_max, mu=mu, out=None))
 
 
 # One call per argument slot; the bad value goes into that slot.
 SLOTS = {
-    "olver_phase(s)": lambda v: ds.olver_phase(v),
+    "psi(s)": lambda v: ds.psi(v),
     "refine_zero(guess)": lambda v: ds.refine_zero(0, v),
     "bessel_quadrature_oracle(x)": lambda v: ds.bessel_quadrature_oracle(0, v),
     "bessel_quadrature_oracle(nodes)": lambda v: ds.bessel_quadrature_oracle(0, 3.0, nodes=v),
@@ -52,14 +52,11 @@ SLOTS = {
     "MollifyConfig(quad_cells)": lambda v: ds.MollifyConfig(quad_cells=v),
     "MollifyConfig(chi_plateau)": lambda v: ds.MollifyConfig(chi_plateau=v),
     "MollifyConfig(chi_support)": lambda v: ds.MollifyConfig(chi_support=v),
-    "mollified_count(sign)": lambda v: ds.mollified_count(v, 10.0),
-    "weyl_remainder(count)": lambda v: ds.weyl_remainder(10.0, v),
     "scan_remainder(mu_min)": lambda v: ds.scan_remainder(v, 30.0, 1.0),
     "scan_remainder(mu_max)": lambda v: ds.scan_remainder(20.0, v, 1.0),
     "scan_remainder(step)": lambda v: ds.scan_remainder(20.0, 30.0, v),
     "fit_envelope(block_size)": lambda v: ds.fit_envelope([], block_size=v),
     "beta_series(beta)": lambda v: ds.beta_series(v, 20),
-    "beta_series_limit(beta)": lambda v: ds.beta_series_limit(v),
     "OscIntegralSpec(nu)": lambda v: _spec(nu=v),
     "OscIntegralSpec(tau)": lambda v: _spec(taus=(1e2, v)),
     "OscIntegralSpec(phase_budget)": lambda v: _spec(phase_budget=v),
@@ -73,6 +70,7 @@ SLOTS = {
         "horizontal", 1.0, 1.0, length=v
     ),
     "zeros --n-max": _zeros_cli,
+    "zeros --mu": lambda v: _zeros_cli(20, v),
     "count_disk(mu)": lambda v: ds.count_disk(v),
     "disk_counts_many(mus)": lambda v: ds.disk_counts_many([10.0, v]),
     "count_sample(mu)": lambda v: ds.count_sample(v),
@@ -81,8 +79,6 @@ SLOTS = {
     "count_lattice(mu)": lambda v: ds.count_lattice(v),
     "column_count(mu)": lambda v: ds.column_count(0, v),
     "brute_force_count(mu)": lambda v: ds.brute_force_count(v),
-    "mollified_count(mu)": lambda v: ds.mollified_count(1, v),
-    "chi_weighted_count(mu)": lambda v: ds.chi_weighted_count(v),
     "sandwich_check(mu)": lambda v: ds.sandwich_check(v),
 }
 
@@ -101,10 +97,11 @@ ARRAY_SLOTS = {
 SLOTS.update(ARRAY_SLOTS)
 
 # Values named one by one: numeric strings, non-integer sizes, a negative
-# count, and arrays with one bad element or a non-real dtype.
+# count, scan steps that ask for too many points, and arrays with one bad
+# element or a non-real dtype.
 NAMED = [
     ("scan_remainder(mu_min)", "20"),
-    ("olver_phase(s)", "1"),
+    ("psi(s)", "1"),
     ("beta_series(beta)", "0.3"),
     ("linear_segment_integral(xi)", "1"),
     ("MollifyConfig(eps_scale)", "1"),
@@ -117,9 +114,10 @@ NAMED = [
     ("bessel_quadrature_oracle(nodes)", 16.5),
     ("EvalAccuracy(max_nodes)", 128.0),
     ("fit_envelope(block_size)", 20.0),
-    ("mollified_count(sign)", 1.0),
     ("zeros --n-max", -1),
     ("zeros --n-max", 2.0),
+    ("scan_remainder(step)", 1e-9),
+    ("scan_remainder(step)", 1e-300),
     ("scale_function(y) on the axis", 1e308),
     ("scale_function(y) at x=0.5", 1e308),
     ("g_profile(x)", [0.1, math.nan]),

@@ -14,14 +14,13 @@ from diskspec import (
     brute_force_count,
     chi0,
     chi_weight,
-    chi_weighted_count,
     column_count,
     count_lattice,
     g_profile,
-    mollified_count,
     rho,
     sandwich_check,
 )
+from diskspec.lattice import _chi_weighted_count, _mollified_count
 from oracles import column_by_membership, profile_height
 
 # Frozen tiny counts, worked out by hand from the profile values.
@@ -139,7 +138,7 @@ def test_chi_weighted_count_matches_direct_sum():
             while k - 0.25 <= top:
                 direct += chi0(n / mu, (k - 0.25) / mu)
                 k += 1
-        assert chi_weighted_count(mu) == pytest.approx(direct, abs=1e-12)
+        assert sandwich_check(mu).n_exact == pytest.approx(direct, abs=1e-12)
 
 
 def test_sandwich_holds_at_reference_scales():
@@ -152,7 +151,12 @@ def test_sandwich_holds_at_reference_scales():
             f"{res.n_minus} <= {res.n_exact} <= {res.n_plus}"
         )
         assert res.n_plus > res.n_minus
-        assert res.n_exact == pytest.approx(chi_weighted_count(mu), abs=0.0)
+        assert res.n_exact == pytest.approx(_chi_weighted_count(mu, MollifyConfig()), abs=0.0)
+    # Outside [4, 50] the sandwich is out of contract.
+    with pytest.raises(DomainError):
+        sandwich_check(3.0)
+    with pytest.raises(DomainError):
+        sandwich_check(60.0)
 
 
 def test_sandwich_stable_under_config_changes():
@@ -174,23 +178,13 @@ def test_sandwich_determinism():
     assert (a.n_minus, a.n_exact, a.n_plus) == (b.n_minus, b.n_exact, b.n_plus)
 
 
-def test_mollified_count_validation():
-    with pytest.raises(DomainError):
-        mollified_count(0, 10.0)
-    with pytest.raises(DomainError):
-        mollified_count(2, 10.0)
-    with pytest.raises(DomainError):
-        sandwich_check(3.0)
-    with pytest.raises(DomainError):
-        sandwich_check(60.0)
-
-
 def test_mollified_bounds_bracket_exact_count():
-    res = sandwich_check(16.0)
-    lo = mollified_count(-1, 16.0)
-    hi = mollified_count(+1, 16.0)
+    cfg = MollifyConfig()
+    res = sandwich_check(16.0, cfg)
+    lo = _mollified_count(-1, 16.0, res.eps, cfg)
+    hi = _mollified_count(+1, 16.0, res.eps, cfg)
     assert lo == res.n_minus and hi == res.n_plus
-    assert lo <= chi_weighted_count(16.0) <= hi
+    assert lo <= _chi_weighted_count(16.0, cfg) <= hi
 
 
 def test_profile_dilation_consistency():

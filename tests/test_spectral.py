@@ -16,17 +16,13 @@ from diskspec import (
     count_lattice,
     count_sample,
     disk_counts_many,
-    inner_residual,
     sandwich_check,
-    weyl_remainder,
     weyl_two_term,
 )
 from diskspec.errors import MAX_THREADS
 from oracles import disk_count_by_sweep
 
 J0_ZERO_1 = 2.4048255576957729
-# x_1(0) - F(0, 3/4) = j_{0,1} - 3 pi / 4, frozen from the two routes.
-INNER_RESIDUAL_0_1 = 0.048631067503428049
 
 
 def test_frozen_small_disk_counts():
@@ -59,7 +55,6 @@ def test_batch_counts_match_single_calls():
 def test_weyl_two_term_values():
     assert weyl_two_term(10.0) == 20.0
     assert weyl_two_term(2.0) == 0.0
-    assert weyl_remainder(10.0, 23) == 3.0
 
 
 def test_count_sample_is_consistent():
@@ -84,26 +79,6 @@ def test_routes_track_each_other():
     for mu in (24.014, 50.0, 120.0):
         diff = compare_counts(mu)
         assert abs(diff) <= 1.0 * mu ** (2.0 / 3.0)
-
-
-def test_inner_residual_frozen_and_decay():
-    assert inner_residual(0, 1) == pytest.approx(INNER_RESIDUAL_0_1, abs=1e-12)
-    vals = [inner_residual(0, k) for k in (1, 2, 5, 20)]
-    assert all(v > 0.0 for v in vals)
-    assert vals == sorted(vals, reverse=True)
-    assert inner_residual(2, 7) > 0.0
-    assert inner_residual(5, 6) > 0.0
-
-
-def test_inner_residual_regime_guard():
-    with pytest.raises(DomainError):
-        inner_residual(5, 5)
-    with pytest.raises(DomainError):
-        inner_residual(3, 1)
-    with pytest.raises(DomainError):
-        inner_residual(0, 0)
-    with pytest.raises(DomainError):
-        inner_residual(1.5, 3)
 
 
 def test_scale_validation():
